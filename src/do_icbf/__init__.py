@@ -6,22 +6,20 @@ forms), an exact least-norm correction solver, a fixed-step closed-loop
 simulator, and two vehicle benchmarks plus a CLI.
 """
 
-from .barriers import (BarrierChain, BarrierSpec, DomainBox, ValidityReport,
-                       chain_value, chain_values, check_validity,
-                       input_gradient, safety_deficit)
+from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .control_laws import (ACCPredictiveLaw, LinePath, PILaw, StanleyLaw,
                            WaypointPath, acc_predicted_output, acc_rate,
                            pi_rate, stanley_rate, stanley_steer, wrap_angle)
 from .errors import (BlowupError, ConfigurationError, ContractViolationError,
                      NumericalDomainError)
-from .filter import (FilterConstraint, FilterResult, safe_rate, solve_multi,
+from .filter import (FilterConstraint, FilterResult, ValidityReport,
+                     build_constraints, check_validity, solve_multi,
                      solve_single)
 from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
                     SystemModel, eval_dynamics, finite_diff_gradient)
 from .observer import (ObserverConfig, ObserverState, check_gain_condition,
-                       default_initial_error_bound, disturbance_estimate,
-                       error_envelope, observer_rhs, projection_gain,
-                       robustness_margin)
+                       disturbance_estimate, error_envelope, observer_rhs,
+                       projection_gain)
 from .rng import SplitMix64
 from .scenarios import (build_acc, build_bicycle, build_example1,
                         build_scenario, sinusoid_disturbance)

@@ -1,5 +1,5 @@
 """Barrier functions over the joint state-input space, the high-order chain,
-and the grid-based validity / relative-degree checker.
+and the domain box.
 
 A barrier h(x, u) defines the safe set {h >= 0}. Along the augmented closed
 loop udot = phi + v the safety condition hdot + gamma(h) >= 0 rearranges into
@@ -15,16 +15,13 @@ authority after as many derivatives as the relative degree requires.
 
 from __future__ import annotations
 
-import itertools
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
-from .model import Array, ClassKFunction, SystemModel, finite_diff_gradient
-from .observer import ObserverConfig, robustness_margin
+from .model import Array, ClassKFunction, finite_diff_gradient
 
 EPS_P = 1e-8  # below this the input gradient counts as zero
 _FD_STEP = 1e-6
@@ -59,35 +56,15 @@ class BarrierSpec:
             )
 
 
-def input_gradient(spec: BarrierSpec, x: Array, u: Array) -> Array:
-    """Constraint normal p(x,u) = (dh/du)^T as a length-m vector."""
-    return np.atleast_1d(np.asarray(spec.grad_u(x, u), dtype=float))
-
-
-def safety_deficit(spec: BarrierSpec, model: SystemModel, phi: Array,
-                   x: Array, u: Array, d_hat: Array) -> float:
-    """Right-hand side the correction must beat (before any robustness margin).
-
-    deficit = -( dh/dx F + dh/dx ell d_hat + dh/du phi + gamma(h) ); positive
-    values mean the nominal rate phi alone would let the safety condition fail.
-    With d_hat = 0 this is exactly the undisturbed formulation's residual.
-    """
-    gx = np.asarray(spec.grad_x(x, u), dtype=float)
-    gu = np.atleast_1d(np.asarray(spec.grad_u(x, u), dtype=float))
-    fx = np.asarray(model.F(x, u), dtype=float)
-    lx = np.asarray(model.ell(x), dtype=float)
-    return -(float(gx @ fx) + float(gx @ (lx @ d_hat)) + float(gu @ phi)
-             + spec.gamma(spec.h(x, u)))
-
-
 @dataclass(frozen=True)
 class BarrierChain:
     """Ordered chain b_0 ... b_m with per-level class-K rates gamma_1 ... gamma_m.
 
     Every level is user-supplied with value and gradients (the benchmarks
     derive them by hand); levels lacking gradients fall back to finite
-    differences via BarrierSpec. Extra trailing gammas are accepted and unused.
-    Level 0 must be input-free; only the top level needs input authority.
+    differences via BarrierSpec. gamma_i drives level i, and gamma_m also
+    the top-level constraint, so a chain takes exactly m rates. Level 0 must
+    be input-free; only the top level needs input authority.
     """
 
     levels: Sequence[BarrierSpec]
@@ -98,9 +75,9 @@ class BarrierChain:
         object.__setattr__(self, "gammas", tuple(self.gammas))
         if len(self.levels) < 2:
             raise ConfigurationError("a chain needs at least levels b_0 and b_1")
-        if len(self.gammas) < self.m:
+        if len(self.gammas) != self.m:
             raise ConfigurationError(
-                f"chain of length m={self.m} needs at least {self.m} class-K rates, "
+                f"chain of length m={self.m} needs exactly {self.m} class-K rates, "
                 f"got {len(self.gammas)}"
             )
 
@@ -111,43 +88,6 @@ class BarrierChain:
     @property
     def labels(self) -> tuple:
         return tuple(lv.label for lv in self.levels)
-
-
-def chain_values(chain: BarrierChain, model: SystemModel, phi: Array, x: Array,
-                 u: Array, d_hat: Array, t: float,
-                 obs_cfg: Optional[ObserverConfig]) -> list:
-    """All chain level values at (x, u) under the current estimate and margin.
-
-    Level 0 is b_0(x,u); level i > 0 is
-
-        bdot_{i-1} + gamma_i(b_{i-1}) - margin(grad_x b_{i-1}, t)
-
-    with bdot_{i-1} = (db_{i-1}/dx)(F + ell d_hat) + (db_{i-1}/du) phi and
-    gamma_i applied to the previous *chain* value. Passing obs_cfg=None zeroes
-    every margin (the undisturbed form).
-    """
-    fx = np.asarray(model.F(x, u), dtype=float)
-    lx = np.asarray(model.ell(x), dtype=float)
-    drift = fx + lx @ d_hat
-    values = [float(chain.levels[0].h(x, u))]
-    for i in range(1, chain.m + 1):
-        prev = chain.levels[i - 1]
-        gx = np.asarray(prev.grad_x(x, u), dtype=float)
-        gu = np.atleast_1d(np.asarray(prev.grad_u(x, u), dtype=float))
-        bdot = float(gx @ drift) + float(gu @ phi)
-        margin = (robustness_margin(obs_cfg, gx, model, x, t)
-                  if obs_cfg is not None else 0.0)
-        values.append(bdot + chain.gammas[i - 1](values[i - 1]) - margin)
-    return values
-
-
-def chain_value(chain: BarrierChain, i: int, model: SystemModel, phi: Array,
-                x: Array, u: Array, d_hat: Array, t: float,
-                obs_cfg: Optional[ObserverConfig]) -> float:
-    """Value of chain level i (0 <= i <= m)."""
-    if not 0 <= i <= chain.m:
-        raise ContractViolationError(f"chain level {i} out of range [0, {chain.m}]")
-    return chain_values(chain, model, phi, x, u, d_hat, t, obs_cfg)[i]
 
 
 @dataclass(frozen=True)
@@ -164,146 +104,3 @@ class DomainBox:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.x_low > self.x_high) or np.any(self.u_low > self.u_high):
             raise ContractViolationError("domain box is empty (a lower bound exceeds an upper bound)")
-
-    def contains(self, x: Array, u: Array) -> bool:
-        return (bool(np.all(x >= self.x_low)) and bool(np.all(x <= self.x_high))
-                and bool(np.all(u >= self.u_low)) and bool(np.all(u <= self.u_high)))
-
-
-@dataclass
-class ValidityReport:
-    """Outcome of the grid check: violations of `p = 0 implies deficit <= -margin`."""
-
-    valid: bool
-    relative_degree: int
-    counterexamples: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "valid": self.valid,
-                "relative_degree": self.relative_degree,
-                "counterexamples": self.counterexamples,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
-def _grid_axes(box: DomainBox, resolution) -> list:
-    dims = box.x_low.shape[0] + box.u_low.shape[0]
-    if isinstance(resolution, int):
-        resolution = [resolution] * dims
-    if len(resolution) != dims:
-        raise ContractViolationError(
-            f"resolution: expected {dims} per-axis counts or a single int, got {resolution}"
-        )
-    if any(r < 2 for r in resolution):
-        raise ContractViolationError("grid resolution must be >= 2 per axis")
-    lows = np.concatenate([box.x_low, box.u_low])
-    highs = np.concatenate([box.x_high, box.u_high])
-    return [np.linspace(lows[i], highs[i], resolution[i]) for i in range(dims)]
-
-
-def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChain],
-                   model: SystemModel,
-                   phi: Callable[[Array, Array], Array],
-                   box: DomainBox,
-                   resolution,
-                   obs_cfg: Optional[ObserverConfig] = None,
-                   times: Optional[Sequence[float]] = None,
-                   eps_p: float = EPS_P) -> ValidityReport:
-    """Scan a grid for points where the correction has no authority yet is needed.
-
-    Wherever ||p|| <= eps_p the implication requires deficit <= -margin; each
-    failure is recorded as (x, u, deficit, -margin, t). The scan is restricted
-    to grid points inside the checked safe set (all barrier / chain values
-    >= 0 there): outside it the forward-invariance argument never visits the
-    point, and the joint barriers of practical scenarios do fail the universal
-    form. For chains the report also carries the empirical relative degree:
-    the smallest level whose input gradient is nonzero somewhere on the grid.
-    """
-    if times is None:
-        if obs_cfg is not None:
-            times = [0.0, 5.0 / obs_cfg.lam, 100.0 / obs_cfg.lam]
-        else:
-            times = [0.0]
-    axes = _grid_axes(box, resolution)
-    nx = box.x_low.shape[0]
-    d_hat = np.zeros(model.p)
-
-    counterexamples: list = []
-    if isinstance(target, BarrierChain):
-        chain = target
-        degree = chain.m
-        seen_nonzero = [False] * (chain.m + 1)
-        top = chain.levels[chain.m]
-        below = chain.levels[chain.m - 1]
-        gamma_top = chain.gammas[chain.m - 1]
-        for point in itertools.product(*axes):
-            x = np.asarray(point[:nx])
-            u = np.asarray(point[nx:])
-            for i, lv in enumerate(chain.levels):
-                if not seen_nonzero[i]:
-                    gu = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
-                    if float(np.linalg.norm(gu)) > eps_p:
-                        seen_nonzero[i] = True
-            p = input_gradient(top, x, u)
-            if float(np.linalg.norm(p)) > eps_p:
-                continue
-            phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
-            for t in times:
-                values = chain_values(chain, model, phi_val, x, u, d_hat, t, obs_cfg)
-                if min(values) < 0.0:
-                    continue  # outside the protected set
-                gx = np.asarray(top.grad_x(x, u), dtype=float)
-                fx = np.asarray(model.F(x, u), dtype=float)
-                lx = np.asarray(model.ell(x), dtype=float)
-                deficit = -(float(gx @ (fx + lx @ d_hat)) + float(p @ phi_val)
-                            + gamma_top(values[chain.m]))
-                margin = (robustness_margin(obs_cfg, below.grad_x(x, u), model, x, t)
-                          if obs_cfg is not None else 0.0)
-                if deficit > -margin:
-                    counterexamples.append({
-                        "barrier": top.label, "t": t,
-                        "x": [float(v) for v in x], "u": [float(v) for v in u],
-                        "w": deficit, "margin": -margin,
-                    })
-        for i, flag in enumerate(seen_nonzero):
-            if flag:
-                degree = i
-                break
-    else:
-        specs = [target] if isinstance(target, BarrierSpec) else list(target)
-        if not specs:
-            raise ConfigurationError("no barriers to check")
-        has_authority = False
-        for point in itertools.product(*axes):
-            x = np.asarray(point[:nx])
-            u = np.asarray(point[nx:])
-            grads = [input_gradient(spec, x, u) for spec in specs]
-            if any(float(np.linalg.norm(p)) > eps_p for p in grads):
-                has_authority = True
-            values = [spec.h(x, u) for spec in specs]
-            if min(values) < 0.0:
-                continue
-            for spec, p in zip(specs, grads):
-                if float(np.linalg.norm(p)) > eps_p:
-                    continue
-                phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
-                for t in times:
-                    deficit = safety_deficit(spec, model, phi_val, x, u, d_hat)
-                    margin = (robustness_margin(obs_cfg, spec.grad_x(x, u), model, x, t)
-                              if obs_cfg is not None else 0.0)
-                    if deficit > -margin:
-                        counterexamples.append({
-                            "barrier": spec.label, "t": t,
-                            "x": [float(v) for v in x], "u": [float(v) for v in u],
-                            "w": deficit, "margin": -margin,
-                        })
-        # Plain barriers act through their own input gradient: degree 0 if any
-        # barrier has input authority somewhere, by convention.
-        degree = 0 if has_authority else 1
-
-    return ValidityReport(valid=not counterexamples, relative_degree=degree,
-                          counterexamples=counterexamples)

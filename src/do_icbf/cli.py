@@ -4,8 +4,8 @@
     do-icbf check   --scenario example1
     do-icbf compare --scenario acc
 
-Exit codes partition the outcomes: 0 clean finish, 1 unusable config or I/O
-failure, 2 filter infeasibility, 3 numerical blow-up, 4 validity
+Exit codes partition the outcomes: 0 clean finish, 1 unusable arguments,
+config or I/O failure, 2 filter infeasibility, 3 numerical blow-up, 4 validity
 counterexamples found. Config files are JSON with a versioned top-level
 "schema": 1 field; command-line flags override config values. The default
 output directory comes from --out, else $DO_ICBF_OUT, else ./do-icbf-out.
@@ -14,13 +14,14 @@ output directory comes from --out, else $DO_ICBF_OUT, else ./do-icbf-out.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 from pathlib import Path
 
-from .barriers import check_validity
 from .errors import ConfigurationError, ContractViolationError
+from .filter import check_validity
 from .model import DisturbanceBounds
 from .scenarios import BUILDERS, build_scenario, sinusoid_disturbance
 from .simulate import FILTER_MODES, SimConfig, run_closed_loop, summarize
@@ -63,13 +64,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         cfg["dt"] = args.dt
     if args.t_end is not None:
         cfg["t_end"] = args.t_end
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
     if getattr(args, "emit_plot", False):
         cfg["emit_plot"] = True
-    cfg.setdefault("seed", 0)
     cfg.setdefault("log_stride", 1)
     if "scenario" not in cfg:
         raise ConfigurationError("no scenario given (use --scenario or a config file)")
@@ -81,10 +79,15 @@ def _build_from_config(cfg: dict):
     if name not in BUILDERS:
         raise ConfigurationError(f"unknown scenario {name!r}; available: {sorted(BUILDERS)}")
     overrides = dict(cfg.get("overrides", {}))
+    accepted = set(inspect.signature(BUILDERS[name]).parameters) | {"initial_x", "initial_u"}
+    if name == "acc":
+        accepted.add("disturbance")
+    unknown = sorted(set(overrides) - accepted)
+    if unknown:
+        raise ConfigurationError(f"unknown override {', '.join(map(repr, unknown))} for "
+                                 f"scenario {name!r}; accepted: {', '.join(sorted(accepted))}")
     dist = overrides.pop("disturbance", None)
     if dist is not None:
-        if name != "acc":
-            raise ConfigurationError("disturbance overrides are only supported for the acc scenario")
         kind = dist.get("kind")
         if kind == "constant":
             value = float(dist["value"])
@@ -132,7 +135,6 @@ def _config_echo(cfg: dict) -> dict:
         "dt": float(cfg.get("dt", 1e-3)),
         "t_end": float(cfg.get("t_end", -1.0)),
         "log_stride": int(cfg.get("log_stride", 1)),
-        "seed": int(cfg.get("seed", 0)),
     }
     if cfg.get("overrides"):
         echo["overrides"] = {
@@ -321,7 +323,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, help="integration step [s]")
         p.add_argument("--t-end", dest="t_end", type=float, help="horizon [s]")
         p.add_argument("--out", help="output directory (default $DO_ICBF_OUT or ./do-icbf-out)")
-        p.add_argument("--seed", type=int, help="seed for randomized suites")
 
     p_run = sub.add_parser("run", help="simulate one scenario and write CSV + summary")
     common(p_run, with_modes=True)
@@ -341,8 +342,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     return args.fn(args)
 
 

@@ -106,21 +106,6 @@ def acc_rate(law: ACCPredictiveLaw, x2: float, u: float) -> float:
     return law.alpha * law.c1 / (law._decay - 1.0) * acc_predicted_output(law, x2, u)
 
 
-def newton_tracking_rate(prediction_jacobian_u, y_ref, y_predicted, alpha: float):
-    """General operator-inverse tracking rate: alpha * (dg/du)^{-1} (y_ref - y_hat).
-
-    Deliberately not implemented: the inverse of the prediction Jacobian need
-    not exist away from special structure, and nothing in this framework can
-    certify it. Use the closed-form specialization (acc_rate) where the
-    linearized prediction makes the gain explicit, or a PI rate law, which
-    has no inverse at all.
-    """
-    raise NotImplementedError(
-        "general operator-inverse tracking is not provided: the prediction "
-        "Jacobian may be singular; use acc_rate or pi_rate"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stanley lateral law
 # ---------------------------------------------------------------------------

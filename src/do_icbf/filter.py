@@ -14,21 +14,26 @@ least-norm solution of the active equalities with nonnegative multipliers, so
 checking every subset of size <= m and keeping the feasible candidate of
 least norm is exact. Constraint counts stay tiny (<= 8 enforced), making
 enumeration both exact and fast.
+
+build_constraints is the one place where the deficit, the robustness margin
+and the chain recurrence are assembled into constraints; the closed loop's
+vector kernel, the start-point check and the grid validity checker all call
+it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .barriers import EPS_P, BarrierChain, BarrierSpec
-from .errors import ConfigurationError
+from .barriers import EPS_P, BarrierChain, BarrierSpec, DomainBox
+from .errors import ConfigurationError, ContractViolationError
 from .model import Array, SystemModel
-from .observer import (ObserverConfig, ObserverState, disturbance_estimate,
-                       error_envelope)
+from .observer import ObserverConfig, error_envelope
 
 FEAS_TOL = 1e-9  # constraint slack tolerance for accepting a candidate
 
@@ -40,9 +45,15 @@ class FilterConstraint:
     p_row: Array
     rhs: float
     label: str = "h"
+    # The two parts rhs = deficit + margin, as build_constraints assembles
+    # them; a constraint given by its rhs alone has deficit = rhs, margin = 0.
+    deficit: Optional[float] = None
+    margin: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "p_row", np.atleast_1d(np.asarray(self.p_row, dtype=float)))
+        if self.deficit is None:
+            object.__setattr__(self, "deficit", self.rhs)
 
     def slack(self, v: Array) -> float:
         return float(self.p_row @ v) - self.rhs
@@ -72,38 +83,26 @@ def solve_single(p_row: Array, f: float, label: str = "h") -> FilterResult:
     return FilterResult((f / pp) * p, active_labels=[label])
 
 
-def _feas_scale(rhs_abs: float, pv_abs: float) -> float:
-    return max(1.0, rhs_abs, pv_abs)
-
-
-def _solve_multi_1d(constraints: Sequence[FilterConstraint]) -> FilterResult:
-    """Scalar specialization of the subset enumeration (size-1 subsets only)."""
-    ps = [float(c.p_row[0]) for c in constraints]
-    rs = [c.rhs for c in constraints]
-    if any(abs(p) <= EPS_P and r > 0.0 for p, r in zip(ps, rs)):
-        return FilterResult(np.zeros(1), infeasible=True)
-    best = None
-    if all(r <= 0.0 for r in rs):
-        best = 0.0
-    for p, r in zip(ps, rs):
+def solve_1d(cons: Sequence[tuple]) -> Optional[float]:
+    """Least-norm scalar v with p * v >= rhs for every (p, rhs) in cons, or
+    None when no v satisfies them all (plain floats; the subset enumeration
+    of solve_multi restricted to size-1 subsets)."""
+    best = 0.0 if all(r <= 0.0 for _, r in cons) else None
+    for p, r in cons:
         if abs(p) <= EPS_P:
+            if r > 0.0:
+                return None  # no input authority, yet the constraint needs help
             continue
         v = r / (p * p) * p
         if best is not None and abs(v) >= abs(best):
             continue
-        ok = True
-        for pk, rk in zip(ps, rs):
+        for pk, rk in cons:
             pv = pk * v
-            if pv - rk < -FEAS_TOL * _feas_scale(abs(rk), abs(pv)):
-                ok = False
+            if pv - rk < -FEAS_TOL * max(1.0, abs(rk), abs(pv)):
                 break
-        if ok:
+        else:
             best = v
-    if best is None:
-        return FilterResult(np.zeros(1), infeasible=True)
-    active = [c.label for pk, rk, c in zip(ps, rs, constraints)
-              if abs(pk * best - rk) <= FEAS_TOL * _feas_scale(abs(rk), abs(pk * best))]
-    return FilterResult(np.array([best]), active_labels=active)
+    return best
 
 
 def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
@@ -122,7 +121,13 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
         return FilterResult(np.zeros(0))
     m = constraints[0].p_row.shape[0]
     if m == 1:
-        return _solve_multi_1d(constraints)
+        cons = [(float(c.p_row[0]), c.rhs) for c in constraints]
+        best = solve_1d(cons)
+        if best is None:
+            return FilterResult(np.zeros(1), infeasible=True)
+        active = [c.label for (pk, rk), c in zip(cons, constraints)
+                  if abs(pk * best - rk) <= FEAS_TOL * max(1.0, abs(rk), abs(pk * best))]
+        return FilterResult(np.array([best]), active_labels=active)
     rows = np.vstack([c.p_row for c in constraints])
     rhs = np.array([c.rhs for c in constraints])
 
@@ -160,12 +165,13 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
     v_norm = float(np.sqrt(best_sq))
     active = [
         c.label for c, nrm in zip(constraints, norms)
-        if abs(c.slack(best)) <= FEAS_TOL * _feas_scale(abs(c.rhs), nrm * v_norm)
+        if abs(c.slack(best)) <= FEAS_TOL * max(1.0, abs(c.rhs), nrm * v_norm)
     ]
     return FilterResult(best, active_labels=active)
 
 
 def _channel_margin(gx: Array, lx: Array, envelope: float) -> float:
+    """Robustness margin ||dh/dx ell(x)|| * envelope(t) of a barrier gradient."""
     if envelope == 0.0:
         return 0.0
     row = gx @ lx
@@ -180,10 +186,16 @@ def build_constraints(model: SystemModel,
                       with_margins: bool = True) -> tuple:
     """Assemble the per-barrier constraints plus diagnostics.
 
-    Plain barriers contribute p^T v >= deficit + margin(grad h). A chain
+    Plain barriers contribute p^T v >= deficit + margin(grad h), with
+
+        deficit = -( dh/dx (F + ell d_hat) + dh/du phi + gamma(h) )
+
+    (positive when the nominal rate alone would let the safety condition
+    fail). A chain b_0 = h, b_i = bdot_{i-1} + gamma_i(b_{i-1}) - margin
     contributes only its top-level constraint, with the margin evaluated on
     the gradient of the level below (the level whose invariance the top level
-    certifies). Returns (constraints, barrier_values, margin_max).
+    certifies). Margins are zero without an observer config or with
+    with_margins=False. Returns (constraints, barrier_values, margin_max).
     """
     fx = np.asarray(model.F(x, u), dtype=float)
     lx = np.asarray(model.ell(x), dtype=float)
@@ -202,7 +214,7 @@ def build_constraints(model: SystemModel,
         deficit = -(float(gx @ drift) + float(p @ phi) + spec.gamma(h_val))
         margin = _channel_margin(gx, lx, envelope)
         margin_max = max(margin_max, margin)
-        constraints.append(FilterConstraint(p, deficit + margin, spec.label))
+        constraints.append(FilterConstraint(p, deficit + margin, spec.label, deficit, margin))
     if chain is not None:
         levels = chain.levels
         vals = [float(levels[0].h(x, u))]
@@ -223,45 +235,118 @@ def build_constraints(model: SystemModel,
                     + chain.gammas[chain.m - 1](vals[chain.m]))
         margin = _channel_margin(prev_gx, lx, envelope)
         margin_max = max(margin_max, margin)
-        constraints.append(FilterConstraint(p, deficit + margin, top.label))
+        constraints.append(FilterConstraint(p, deficit + margin, top.label, deficit, margin))
     return constraints, values, margin_max
 
 
-def safe_rate(model: SystemModel,
-              barriers: Sequence[BarrierSpec],
-              chain: Optional[BarrierChain],
-              phi: Array,
-              obs_cfg: Optional[ObserverConfig],
-              obs_state: Optional[ObserverState],
-              x: Array, u: Array, t: float,
-              d_hat: Optional[Array] = None,
-              with_margins: bool = True) -> tuple:
-    """Corrected input rate phi + v* plus a diagnostics dict.
+@dataclass
+class ValidityReport:
+    """Outcome of the grid check: violations of `p = 0 implies deficit <= -margin`."""
 
-    d_hat defaults to the observer's current estimate; callers implementing
-    ablations may pass a zeroed estimate and with_margins=False. When every
-    constraint is already slack the nominal rate is returned untouched.
-    Infeasibility is reported in the diagnostics, not raised: it means the
-    supplied barrier is not valid at this point and the caller decides how to
-    stop.
+    valid: bool
+    relative_degree: int
+    counterexamples: list = field(default_factory=list)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "valid": self.valid,
+                "relative_degree": self.relative_degree,
+                "counterexamples": self.counterexamples,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+
+
+def _grid_axes(box: DomainBox, resolution) -> list:
+    dims = box.x_low.shape[0] + box.u_low.shape[0]
+    if isinstance(resolution, int):
+        resolution = [resolution] * dims
+    if len(resolution) != dims:
+        raise ContractViolationError(
+            f"resolution: expected {dims} per-axis counts or a single int, got {resolution}"
+        )
+    if any(r < 2 for r in resolution):
+        raise ContractViolationError("grid resolution must be >= 2 per axis")
+    lows = np.concatenate([box.x_low, box.u_low])
+    highs = np.concatenate([box.x_high, box.u_high])
+    return [np.linspace(lows[i], highs[i], resolution[i]) for i in range(dims)]
+
+
+def _input_free(spec: BarrierSpec, x: Array, u: Array, eps_p: float) -> bool:
+    return float(np.linalg.norm(np.asarray(spec.grad_u(x, u), dtype=float))) <= eps_p
+
+
+def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChain],
+                   model: SystemModel,
+                   phi: Callable[[Array, Array], Array],
+                   box: DomainBox,
+                   resolution,
+                   obs_cfg: Optional[ObserverConfig] = None,
+                   times: Optional[Sequence[float]] = None,
+                   eps_p: float = EPS_P) -> ValidityReport:
+    """Scan a grid for points where the correction has no authority yet is needed.
+
+    Wherever ||p|| <= eps_p the implication requires deficit <= -margin, both
+    as build_constraints assembles them at d_hat = 0; each failure is recorded
+    as (x, u, deficit, -margin, t). The scan is restricted to grid points
+    inside the checked safe set (all barrier / chain values >= 0 there):
+    outside it the forward-invariance argument never visits the point, and
+    the joint barriers of practical scenarios do fail the universal form. For
+    chains the report also carries the empirical relative degree: the
+    smallest level whose input gradient is nonzero somewhere on the grid.
     """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if d_hat is None:
-        if obs_cfg is None or obs_state is None:
-            d_hat = np.zeros(model.p)
+    if times is None:
+        if obs_cfg is not None:
+            times = [0.0, 5.0 / obs_cfg.lam, 100.0 / obs_cfg.lam]
         else:
-            d_hat = disturbance_estimate(obs_cfg, obs_state, x)
-    constraints, values, margin_max = build_constraints(
-        model, barriers, chain, phi, x, u, d_hat, t, obs_cfg, with_margins)
-    result = solve_multi(constraints)
-    diagnostics = {
-        "v_star": result.v_star,
-        "d_hat": d_hat,
-        "infeasible": result.infeasible,
-        "active": result.active_labels,
-        "barrier_values": values,
-        "margin": margin_max,
-        "slacks": {c.label: c.slack(result.v_star) for c in constraints},
-        "constraints": constraints,
-    }
-    return phi + result.v_star, diagnostics
+            times = [0.0]
+    axes = _grid_axes(box, resolution)
+    nx = box.x_low.shape[0]
+    d_hat = np.zeros(model.p)
+    counterexamples: list = []
+
+    def check_point(specs, chain, x, u):
+        """Record the one constraint of specs / chain at each time it needs
+        help while (x, u) lies inside its safe set."""
+        phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
+        for t in times:
+            (c,), values, _ = build_constraints(model, specs, chain, phi_val, x, u, d_hat, t,
+                                                obs_cfg)
+            if not min(values.values()) < 0.0 and c.deficit > -c.margin:
+                counterexamples.append({
+                    "barrier": c.label, "t": t,
+                    "x": [float(v) for v in x], "u": [float(v) for v in u],
+                    "w": c.deficit, "margin": -c.margin,
+                })
+
+    points = ((np.asarray(pt[:nx]), np.asarray(pt[nx:])) for pt in itertools.product(*axes))
+    if isinstance(target, BarrierChain):
+        chain = target
+        seen_nonzero = [False] * (chain.m + 1)
+        for x, u in points:
+            for i, lv in enumerate(chain.levels):
+                if not seen_nonzero[i] and not _input_free(lv, x, u, eps_p):
+                    seen_nonzero[i] = True
+            if _input_free(chain.levels[chain.m], x, u, eps_p):
+                check_point((), chain, x, u)
+        degree = next((i for i, flag in enumerate(seen_nonzero) if flag), chain.m)
+    else:
+        specs = [target] if isinstance(target, BarrierSpec) else list(target)
+        if not specs:
+            raise ConfigurationError("no barriers to check")
+        has_authority = False
+        for x, u in points:
+            free = [spec for spec in specs if _input_free(spec, x, u, eps_p)]
+            if len(free) < len(specs):
+                has_authority = True
+            if free and not min(spec.h(x, u) for spec in specs) < 0.0:
+                for spec in free:
+                    check_point((spec,), None, x, u)
+        # Plain barriers act through their own input gradient: degree 0 if any
+        # barrier has input authority somewhere, by convention.
+        degree = 0 if has_authority else 1
+
+    return ValidityReport(valid=not counterexamples, relative_degree=degree,
+                          counterexamples=counterexamples)

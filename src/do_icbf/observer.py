@@ -117,27 +117,6 @@ def error_envelope(cfg: ObserverConfig, t: float) -> float:
     return math.sqrt((two_ml * e0 * e0 * decay + k1 * k1 * (1.0 - decay)) / two_ml)
 
 
-def robustness_margin(cfg: ObserverConfig, grad_h_x: Array, model: SystemModel,
-                      x: Array, t: float) -> float:
-    """Margin ||dh/dx ell(x)|| * envelope(t) added to a barrier constraint.
-
-    Zero whenever the barrier gradient is orthogonal to the disturbance channel.
-    """
-    row = np.asarray(grad_h_x, dtype=float) @ np.asarray(model.ell(x), dtype=float)
-    sensitivity = float(np.linalg.norm(row))
-    if sensitivity == 0.0:
-        return 0.0
-    return sensitivity * error_envelope(cfg, t)
-
-
-def default_initial_error_bound(bounds: DisturbanceBounds, d_hat0: Array) -> float:
-    """Tightest controller-side bound on ||e_d(0)||: k0 + ||d_hat(0)||.
-
-    d(0) is unknown but bounded by k0, so this is valid for any initial guess.
-    """
-    return bounds.k0 + float(np.linalg.norm(np.asarray(d_hat0, dtype=float)))
-
-
 def check_gain_condition(cfg: ObserverConfig, model: SystemModel, samples) -> float:
     """Smallest eigenvalue of sym(L_d ell) - I over sampled states.
 

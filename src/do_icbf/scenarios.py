@@ -42,8 +42,7 @@ from .control_laws import (ACCPredictiveLaw, LinePath, PredictiveCruiseRate,
 from .errors import ConfigurationError
 from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
                     SystemModel)
-from .observer import (ObserverConfig, ObserverState, check_gain_condition,
-                       disturbance_estimate)
+from .observer import ObserverConfig, check_gain_condition
 from .simulate import Scenario
 
 
@@ -201,7 +200,6 @@ def build_bicycle(*,
                   max_steer: float = 1.0,
                   gamma1: float = 0.2,
                   gamma2: float = 1.0,
-                  gamma3: float = 1.0,
                   obstacle_radius: float = 1.0,
                   path_offset: float = 0.5,
                   x0=(15.0, 10.0, math.pi / 2, 0.5),
@@ -212,7 +210,7 @@ def build_bicycle(*,
     and any positive value preserves the experiment. The reference path
     defaults to the straight line from the start toward the origin, shifted
     sideways by path_offset so it crosses the obstacle disk off-center.
-    gamma3 is accepted for config compatibility; a 2-level chain never uses it.
+    The top constraint b2dot + gamma2(b2) >= 0 reuses gamma2.
     """
     L = wheelbase
     x0 = np.asarray(x0, dtype=float)
@@ -291,10 +289,10 @@ def build_bicycle(*,
                         grad_u=lambda x, u: zero_u, label="b0"),
             BarrierSpec(h=b1, gamma=gam(gamma2), grad_x=b1_grad_x,
                         grad_u=lambda x, u: zero_u, label="b1"),
-            BarrierSpec(h=b2, gamma=gam(gamma3), grad_x=b2_grad_x,
+            BarrierSpec(h=b2, gamma=gam(gamma2), grad_x=b2_grad_x,
                         grad_u=b2_grad_u, label="b2"),
         ),
-        gammas=(gam(gamma1), gam(gamma2), gam(gamma3)),
+        gammas=(gam(gamma1), gam(gamma2)),
     )
 
     if path is None:
@@ -405,9 +403,3 @@ def build_scenario(name: str, **overrides) -> Scenario:
             f"unknown scenario {name!r}; available: {sorted(BUILDERS)}"
         )
     return BUILDERS[name](**overrides)
-
-
-def estimate_at_start(scenario: Scenario) -> np.ndarray:
-    """The observer's estimate at t = 0 (useful for initial-error bookkeeping)."""
-    return disturbance_estimate(scenario.obs_cfg, ObserverState(scenario.initial.r),
-                                scenario.initial.x)

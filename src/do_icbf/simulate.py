@@ -29,10 +29,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import EPS_P as _EPS_P
 from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .errors import BlowupError, ConfigurationError, ContractViolationError
-from .filter import build_constraints, solve_multi
+from .filter import build_constraints, solve_1d, solve_multi
 from .model import Array, AugmentedState, SystemModel
 from .observer import ObserverConfig, disturbance_estimate, error_envelope
 
@@ -80,10 +79,10 @@ class Scenario:
     tracking_fn: Optional[Callable[["TrajectoryLog"], float]] = None
     check_box: Optional[DomainBox] = None
     check_resolution: object = 5
-    # Opt-in scalar fast loop: requires m = p = 1, a constant disturbance
+    # Opt-in float step kernel: requires m = p = 1, a constant disturbance
     # channel and observer gain, the default potential q = L_d x, and barrier
     # callables that accept plain sequences. The builders in scenarios.py
-    # qualify; custom scenarios keep the generic path unless they opt in.
+    # qualify; custom scenarios keep the vector kernel unless they opt in.
     fast_loop: bool = False
 
     def validate_initial(self) -> None:
@@ -177,23 +176,65 @@ def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float
     return z_next
 
 
-def run_closed_loop(scenario: Scenario, cfg: SimConfig,
-                    force_generic: bool = False) -> TrajectoryLog:
+def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     """Integrate the augmented loop and log every log_stride-th step.
 
     Halts early (with the reason recorded) on filter infeasibility or
     numerical blow-up. Identical scenario + config always produce an
     identical log: there is no randomness and no shared state between runs.
-    Scenarios flagged fast_loop run through a scalar-specialized loop with
-    the same formulas (force_generic=True routes around it, e.g. for
-    equivalence tests).
+    The loop owns the time grid, the domain-exit flag, logging and halts; a
+    step kernel supplies each step's decision and RK4 advance. Scenarios
+    flagged fast_loop take the float kernel, all others the vector kernel.
     """
-    if scenario.fast_loop and not force_generic:
-        return _run_closed_loop_scalar(scenario, cfg)
-    model = scenario.model
-    n, m, p = model.n, model.m, model.p
     law = copy.deepcopy(scenario.law)
     law.reset(scenario.initial.x, scenario.initial.u)
+    make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
+    z, decide, log_row, advance = make_kernel(scenario, law, cfg)
+    log = TrajectoryLog(scenario, cfg)
+    box = scenario.domain
+    lo = [float(v) for v in np.concatenate([box.x_low, box.u_low])]
+    hi = [float(v) for v in np.concatenate([box.x_high, box.u_high])]
+    xu = range(len(lo))  # z[:n + m] is (x, u)
+    left_domain = False
+    dt = cfg.dt
+    n_steps = int(round(cfg.t_end / dt))
+    stride = cfg.log_stride
+
+    for k in range(n_steps + 1):
+        t = k * dt
+        step = decide(t, z)
+        infeasible = step[0]
+        if not left_domain:
+            for i in xu:
+                if not lo[i] <= z[i] <= hi[i]:
+                    left_domain = True
+                    break
+        if k % stride == 0 or infeasible or k == n_steps:
+            log.append(log_row(t, z, step))
+        if infeasible:
+            log.halt_reason = "infeasible"
+            break
+        if k == n_steps:
+            break
+        z = advance(t, z, step)
+        if z is None:
+            log.halt_reason = "blowup"
+            break
+    log.left_domain = left_domain
+    return log
+
+
+def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
+    """Step kernel on numpy vectors for any scenario: build_constraints,
+    solve_multi and rk4_step.
+
+    Returns (z0, decide, log_row, advance). decide(t, z) gives the step
+    (infeasible, phi, v_star, d_hat, values, constraints, margin);
+    log_row(t, z, step) the log row; advance(t, z, step) the next state
+    with udot = phi + v_star held over the step, or None on blow-up.
+    """
+    model = scenario.model
+    n, m, p = model.n, model.m, model.p
     obs = scenario.obs_cfg
     beta = obs.beta
     q_fn = obs.q_fn
@@ -201,155 +242,121 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig,
     F = model.F
     ell = model.ell
     d_true = model.d_true
-    mode = cfg.filter_mode
-    filter_on = mode != "off"
-    robust = mode in ("do_icbf", "high_order")
+    filter_on = cfg.filter_mode != "off"
+    margins = cfg.filter_mode in ("do_icbf", "high_order") or not filter_on
     zero_d = np.zeros(p)
+    v_star_zero = np.zeros(m)
     dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
-    log = TrajectoryLog(scenario, cfg)
-    z = scenario.initial.as_vector()
-    box = scenario.domain
-    lows = np.concatenate([box.x_low, box.u_low])
-    highs = np.concatenate([box.x_high, box.u_high])
     value_labels = scenario.value_labels
     barriers = scenario.barriers
     chain = scenario.chain
-    stride = cfg.log_stride
 
-    # closure cell for the per-step frozen input rate; rebound every step
-    u_rate_cell = np.zeros(m)
-    v_star_zero = np.zeros(m)
-
-    def rhs(tt: float, zz: Array) -> Array:
-        xx = zz[:n]
-        uu = zz[n:n + m]
-        rr = zz[n + m:]
-        fx = np.asarray(F(xx, uu), dtype=float)
-        lx = ell(xx)
-        d_hat = rr + beta * q_fn(xx)
-        out = np.empty(n + m + p)
-        out[:n] = fx + lx @ d_true(tt)
-        out[n:n + m] = u_rate_cell
-        out[n + m:] = -beta * (gain_at(xx) @ (fx + lx @ d_hat))
-        return out
-
-    for k in range(n_steps + 1):
-        t = k * dt
+    def decide(t, z):
         x = z[:n]
         u = z[n:n + m]
-        r = z[n + m:]
-        d_hat_obs = r + beta * q_fn(x)
+        d_hat_obs = z[n + m:] + beta * q_fn(x)
         phi = np.asarray(law.rate(t, x, u, dt), dtype=float)
         constraints, values, margin = build_constraints(
-            model, barriers, chain, phi, x, u,
-            d_hat_obs if (robust or not filter_on) else zero_d, t, obs,
-            with_margins=(robust or not filter_on))
+            model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d, t, obs,
+            with_margins=margins)
         if filter_on:
             result = solve_multi(constraints)
-            v_star = result.v_star
-            infeasible = result.infeasible
-        else:
-            v_star = v_star_zero
-            infeasible = False
-        if not log.left_domain and (
-                np.any(z[:n + m] < lows) or np.any(z[:n + m] > highs)):
-            log.left_domain = True
+            return (result.infeasible, phi, result.v_star, d_hat_obs, values, constraints,
+                    margin)
+        return False, phi, v_star_zero, d_hat_obs, values, constraints, margin
 
-        if k % stride == 0 or infeasible or k == n_steps:
-            row = [t]
-            row.extend(x)
-            row.extend(u)
-            row.extend(phi)
-            row.extend(v_star)
-            row.extend(d_true(t))
-            row.extend(d_hat_obs)
-            row.extend(values[lab] for lab in value_labels)
-            row.extend(c.slack(v_star) for c in constraints)
-            row.append(margin)
-            row.append(1.0 if infeasible else 0.0)
-            log.append(row)
-        if infeasible:
-            log.halt_reason = "infeasible"
-            break
-        if k == n_steps:
-            break
+    def log_row(t, z, step):
+        infeasible, phi, v_star, d_hat_obs, values, constraints, margin = step
+        return (t, *z[:n + m], *phi, *v_star, *d_true(t), *d_hat_obs,
+                *[values[lab] for lab in value_labels],
+                *[c.slack(v_star) for c in constraints],
+                margin, 1.0 if infeasible else 0.0)
 
-        u_rate_cell = phi + v_star  # rebind; rhs reads the cell each stage
+    def advance(t, z, step):
+        u_rate = step[1] + step[2]
+
+        def rhs(tt: float, zz: Array) -> Array:
+            xx = zz[:n]
+            fx = np.asarray(F(xx, zz[n:n + m]), dtype=float)
+            lx = ell(xx)
+            d_hat = zz[n + m:] + beta * q_fn(xx)
+            out = np.empty(n + m + p)
+            out[:n] = fx + lx @ d_true(tt)
+            out[n:n + m] = u_rate
+            out[n + m:] = -beta * (gain_at(xx) @ (fx + lx @ d_hat))
+            return out
 
         try:
-            z = rk4_step(rhs, t, z, dt)
+            return rk4_step(rhs, t, z, dt)
         except BlowupError:
-            log.halt_reason = "blowup"
-            break
-    return log
+            return None
+
+    return scenario.initial.as_vector(), decide, log_row, advance
 
 
-def _run_closed_loop_scalar(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
-    """Scalar-input specialization of run_closed_loop (same math, float ops).
+def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
+    """Step kernel on plain floats, with the formulas of the vector kernel.
 
     Preconditions (asserted): m = p = 1, constant channel column, constant
-    observer gain row with the default potential q = L_d x. Everything else
-    mirrors the generic loop step for step; tests pin the two paths together.
+    observer gain row with the default potential q = L_d x. The state is a
+    list and the step is (infeasible, phi, v_star, d_hat, values, cons,
+    margin) with cons the (p, rhs) float pairs; otherwise as _vector_kernel.
+    Its sums and RK4 combination round differently from numpy's, so the two
+    kernels agree to ~1e-12, not bit for bit, and tests pin each one
+    separately.
     """
     model = scenario.model
     n = model.n
     if model.m != 1 or model.p != 1:
-        raise ConfigurationError("scalar fast loop needs m = p = 1")
+        raise ConfigurationError("fast_loop (the float kernel) needs m = p = 1")
     obs = scenario.obs_cfg
     if callable(obs.L_d) and not isinstance(obs.L_d, np.ndarray):
-        raise ConfigurationError("scalar fast loop needs a constant observer gain")
+        raise ConfigurationError("fast_loop (the float kernel) needs a constant observer gain")
     ell0 = np.asarray(model.ell(scenario.initial.x), dtype=float)
     ellc = tuple(float(v) for v in ell0[:, 0])
     gain = tuple(float(v) for v in np.atleast_2d(np.asarray(obs.L_d, dtype=float))[0])
     beta = obs.beta
-    law = copy.deepcopy(scenario.law)
-    law.reset(scenario.initial.x, scenario.initial.u)
     F = model.F
     d_true = model.d_true
-    mode = cfg.filter_mode
-    filter_on = mode != "off"
-    robust = mode in ("do_icbf", "high_order")
+    filter_on = cfg.filter_mode != "off"
+    margins = cfg.filter_mode in ("do_icbf", "high_order") or not filter_on
     dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
-    stride = cfg.log_stride
-    log = TrajectoryLog(scenario, cfg)
-    box = scenario.domain
-    lo = [float(v) for v in box.x_low] + [float(box.u_low[0])]
-    hi = [float(v) for v in box.x_high] + [float(box.u_high[0])]
-
     plain = [(s.h, s.grad_x, s.grad_u, s.gamma.fn, s.label) for s in scenario.barriers]
     chain = scenario.chain
     if chain is not None:
         levels = [(s.h, s.grad_x, s.grad_u) for s in chain.levels]
         gammas = tuple(g.fn for g in chain.gammas)
         m_top = chain.m
-        top_label = chain.levels[m_top].label
         chain_labels = chain.labels
     value_labels = scenario.value_labels
-
-    z = [float(v) for v in scenario.initial.as_vector()]
     rng_n = range(n)
+    rng_z = range(n + 2)
     idx_u = n
     idx_r = n + 1
 
-    for k in range(n_steps + 1):
-        t = k * dt
+    def lie(gx, drift):
+        """(grad . drift, grad . ell), summed in index order."""
+        dot = 0.0
+        row = 0.0
+        for i in rng_n:
+            g = gx[i]
+            dot += g * drift[i]
+            row += g * ellc[i]
+        return dot, row
+
+    def decide(t, z):
         x = z[:n]
         u = z[idx_u:idx_r]
-        r = z[idx_r]
         q_val = 0.0
         for i in rng_n:
             q_val += gain[i] * x[i]
-        d_hat_obs = r + beta * q_val
-        d_hat = d_hat_obs if (robust or not filter_on) else 0.0
+        d_hat_obs = z[idx_r] + beta * q_val
+        d_hat = d_hat_obs if margins else 0.0
         phi = float(law.rate(t, x, u, dt)[0])
-        envelope = (error_envelope(obs, t)
-                    if (robust or not filter_on) else 0.0)
-
+        envelope = error_envelope(obs, t) if margins else 0.0
         fx = F(x, u)
         drift = [fx[i] + ellc[i] * d_hat for i in rng_n]
-        cons = []  # (p, rhs, label)
+        cons = []  # (p, rhs) of each constraint
         values = {}
         margin_max = 0.0
         for h_fn, gx_fn, gu_fn, gamma, label in plain:
@@ -357,102 +364,41 @@ def _run_closed_loop_scalar(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog
             values[label] = h_val
             gx = gx_fn(x, u)
             p_val = float(gu_fn(x, u)[0])
-            dot = 0.0
-            row = 0.0
-            for i in rng_n:
-                g = gx[i]
-                dot += g * drift[i]
-                row += g * ellc[i]
+            dot, row = lie(gx, drift)
             margin = abs(row) * envelope
             margin_max = max(margin_max, margin)
-            cons.append((p_val, -(dot + p_val * phi + gamma(h_val)) + margin, label))
+            cons.append((p_val, -(dot + p_val * phi + gamma(h_val)) + margin))
         if chain is not None:
-            h0, _, _ = levels[0]
-            vals = [float(h0(x, u))]
+            vals = [float(levels[0][0](x, u))]
             below_margin = 0.0
             for j in range(1, m_top + 1):
                 _, gx_fn, gu_fn = levels[j - 1]
-                gx = gx_fn(x, u)
-                dot = 0.0
-                row = 0.0
-                for i in rng_n:
-                    g = gx[i]
-                    dot += g * drift[i]
-                    row += g * ellc[i]
+                dot, row = lie(gx_fn(x, u), drift)
                 below_margin = abs(row) * envelope
                 bdot = dot + float(gu_fn(x, u)[0]) * phi
                 vals.append(bdot + gammas[j - 1](vals[j - 1]) - below_margin)
-            for label, val in zip(chain_labels, vals):
-                values[label] = val
+            values.update(zip(chain_labels, vals))
             _, gx_fn, gu_fn = levels[m_top]
             gx = gx_fn(x, u)
             p_val = float(gu_fn(x, u)[0])
-            dot = 0.0
-            for i in rng_n:
-                dot += gx[i] * drift[i]
+            dot, _ = lie(gx, drift)
             margin_max = max(margin_max, below_margin)
             cons.append((p_val,
-                         -(dot + p_val * phi + gammas[m_top - 1](vals[m_top]))
-                         + below_margin,
-                         top_label))
+                         -(dot + p_val * phi + gammas[m_top - 1](vals[m_top])) + below_margin))
+        v_star = solve_1d(cons) if filter_on else 0.0
+        if v_star is None:
+            return True, phi, 0.0, d_hat_obs, values, cons, margin_max
+        return False, phi, v_star, d_hat_obs, values, cons, margin_max
 
-        infeasible = False
-        v_star = 0.0
-        if filter_on:
-            best = None
-            if all(rhs <= 0.0 for _, rhs, _ in cons):
-                best = 0.0
-            for p_val, rhs, _ in cons:
-                if abs(p_val) <= _EPS_P:
-                    if rhs > 0.0:
-                        best = None
-                        break
-                    continue
-                v = rhs / (p_val * p_val) * p_val
-                if best is not None and abs(v) >= abs(best):
-                    continue
-                ok = True
-                for pk, rk, _ in cons:
-                    pv = pk * v
-                    if pv - rk < -1e-9 * max(1.0, abs(rk), abs(pv)):
-                        ok = False
-                        break
-                if ok:
-                    best = v
-            if best is None:
-                infeasible = True
-            else:
-                v_star = best
+    def log_row(t, z, step):
+        infeasible, phi, v_star, d_hat_obs, values, cons, margin = step
+        return (t, *z[:idx_r], phi, v_star, float(d_true(t)[0]), d_hat_obs,
+                *[values[lab] for lab in value_labels],
+                *[p_val * v_star - rhs for p_val, rhs in cons],
+                margin, 1.0 if infeasible else 0.0)
 
-        if not log.left_domain:
-            for i in rng_n:
-                if not lo[i] <= x[i] <= hi[i]:
-                    log.left_domain = True
-                    break
-            else:
-                if not lo[n] <= u[0] <= hi[n]:
-                    log.left_domain = True
-
-        if k % stride == 0 or infeasible or k == n_steps:
-            row_out = [t]
-            row_out.extend(x)
-            row_out.append(u[0])
-            row_out.append(phi)
-            row_out.append(v_star)
-            row_out.append(float(d_true(t)[0]))
-            row_out.append(d_hat_obs)
-            row_out.extend(values[lab] for lab in value_labels)
-            row_out.extend(p_val * v_star - rhs for p_val, rhs, _ in cons)
-            row_out.append(margin_max)
-            row_out.append(1.0 if infeasible else 0.0)
-            log.append(row_out)
-        if infeasible:
-            log.halt_reason = "infeasible"
-            break
-        if k == n_steps:
-            break
-
-        u_rate = phi + v_star
+    def advance(t, z, step):
+        u_rate = step[1] + step[2]
 
         def f_aug(tt, zz):
             xx = zz[:n]
@@ -475,27 +421,16 @@ def _run_closed_loop_scalar(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog
         try:
             k1 = f_aug(t, z)
             hh = 0.5 * dt
-            z2 = [z[i] + hh * k1[i] for i in range(n + 2)]
-            k2 = f_aug(t + hh, z2)
-            z3 = [z[i] + hh * k2[i] for i in range(n + 2)]
-            k3 = f_aug(t + hh, z3)
-            z4 = [z[i] + dt * k3[i] for i in range(n + 2)]
-            k4 = f_aug(t + dt, z4)
+            k2 = f_aug(t + hh, [z[i] + hh * k1[i] for i in rng_z])
+            k3 = f_aug(t + hh, [z[i] + hh * k2[i] for i in rng_z])
+            k4 = f_aug(t + dt, [z[i] + dt * k3[i] for i in rng_z])
             sixth = dt / 6.0
-            z = [z[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-                 for i in range(n + 2)]
+            z = [z[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in rng_z]
         except (OverflowError, ValueError):
-            log.halt_reason = "blowup"
-            break
-        finite = True
-        for v in z:
-            if not math.isfinite(v):
-                finite = False
-                break
-        if not finite:
-            log.halt_reason = "blowup"
-            break
-    return log
+            return None
+        return z if all(map(math.isfinite, z)) else None
+
+    return [float(v) for v in scenario.initial.as_vector()], decide, log_row, advance
 
 
 def summarize(log: TrajectoryLog, scenario: Optional[Scenario] = None) -> dict:

@@ -5,38 +5,44 @@ import pytest
 
 from do_icbf import (BarrierChain, BarrierSpec, ClassKFunction,
                      ConfigurationError, ContractViolationError, DomainBox,
-                     SplitMix64, SystemModel, chain_value, chain_values,
-                     check_validity, finite_diff_gradient, input_gradient,
-                     safety_deficit)
+                     SplitMix64, SystemModel, build_constraints,
+                     check_validity, finite_diff_gradient)
 
 GAM = ClassKFunction.linear(1.0)
 
 
-def _zero_phi(m):
-    return np.zeros(m)
+def _constraint(model, spec, phi, x, u, d_hat):
+    """The single constraint build_constraints assembles for a plain barrier."""
+    (c,), _, _ = build_constraints(model, (spec,), None, phi, x, u, d_hat, 0.0, None)
+    return c
 
 
 def test_input_gradient_u_free_barrier(acc_scenario):
     h_x = acc_scenario.chain.levels[0]
-    p = input_gradient(h_x, np.array([0.0, 10.0, 25.0]), np.array([3.0]))
-    assert np.array_equal(p, np.zeros(1))
+    c = _constraint(acc_scenario.model, h_x, np.zeros(1), np.array([0.0, 10.0, 25.0]),
+                    np.array([3.0]), np.zeros(1))
+    assert np.array_equal(c.p_row, np.zeros(1))
 
 
 def test_input_gradient_force_barrier(acc_scenario):
     h_u = acc_scenario.barriers[0]
     for u in (-100.0, 0.0, 42.0):
-        p = input_gradient(h_u, np.zeros(3), np.array([u]))
-        assert p == pytest.approx(-2.0 * u)
+        c = _constraint(acc_scenario.model, h_u, np.zeros(1), np.zeros(3), np.array([u]),
+                        np.zeros(1))
+        assert c.p_row == pytest.approx(-2.0 * u)
 
 
 def test_input_gradient_bicycle_top_level_matches_fd(bicycle_scenario):
-    b2 = bicycle_scenario.chain.levels[2]
-    x = bicycle_scenario.initial.x
-    u = bicycle_scenario.initial.u
-    p = input_gradient(b2, x, u)
+    sc = bicycle_scenario
+    b2 = sc.chain.levels[2]
+    x = sc.initial.x
+    u = sc.initial.u
+    (c,), _, _ = build_constraints(sc.model, (), sc.chain, np.zeros(1), x, u, np.zeros(1),
+                                   0.0, None)
+    assert c.label == "b2"
     fd = finite_diff_gradient(lambda uv: float(b2.h(x, uv)), u, 1e-6)
-    assert abs(float(p[0])) > 0.1
-    assert p[0] == pytest.approx(fd[0], rel=1e-6)
+    assert abs(float(c.p_row[0])) > 0.1
+    assert c.p_row[0] == pytest.approx(fd[0], rel=1e-6)
 
 
 def test_safety_deficit_all_terms_vanish():
@@ -44,13 +50,15 @@ def test_safety_deficit_all_terms_vanish():
                         ell=lambda x: np.zeros((1, 1)))
     spec = BarrierSpec(h=lambda x, u: 0.0, gamma=GAM,
                        grad_x=lambda x, u: (1.0,), grad_u=lambda x, u: (1.0,))
-    w = safety_deficit(spec, model, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
-    assert w == 0.0
+    c = _constraint(model, spec, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
+    assert c.deficit == 0.0
+    assert c.margin == 0.0
+    assert c.rhs == 0.0
 
 
 def test_safety_deficit_reduces_to_undisturbed_form(acc_scenario):
     # with d_hat = 0 the deficit equals the undisturbed residual, composed
-    # identically (exact float equality)
+    # without the disturbance channel (exact float equality)
     model = acc_scenario.model
     spec = acc_scenario.chain.levels[1]
     rng = SplitMix64(11)
@@ -58,14 +66,11 @@ def test_safety_deficit_reduces_to_undisturbed_form(acc_scenario):
         x = np.array([rng.uniform(0, 100), rng.uniform(0, 25), rng.uniform(0, 60)])
         u = np.array([rng.uniform(-4000, 4000)])
         phi = np.array([rng.uniform(-1e4, 1e4)])
-        zero = np.zeros(1)
-        w = safety_deficit(spec, model, phi, x, u, zero)
+        w = _constraint(model, spec, phi, x, u, np.zeros(1)).deficit
         gx = np.asarray(spec.grad_x(x, u), dtype=float)
         gu = np.atleast_1d(np.asarray(spec.grad_u(x, u), dtype=float))
         fx = np.asarray(model.F(x, u), dtype=float)
-        lx = np.asarray(model.ell(x), dtype=float)
-        q = -(float(gx @ fx) + float(gx @ (lx @ zero)) + float(gu @ phi)
-              + spec.gamma(spec.h(x, u)))
+        q = -(float(gx @ fx) + float(gu @ phi) + spec.gamma(spec.h(x, u)))
         assert w == q
 
 
@@ -79,7 +84,8 @@ def test_safety_deficit_acc_term_by_term(acc_scenario):
     # hand substitution: grad_x = 0, grad_u = -2u, h = (mcg)^2 - u^2
     mcg = 1650.0 * 0.3 * 9.81
     expected = -((-2.0 * 500.0) * 1000.0 + (mcg * mcg - 500.0 ** 2))
-    assert safety_deficit(h_u, model, phi, x, u, d_hat) == pytest.approx(expected, rel=1e-14)
+    c = _constraint(model, h_u, phi, x, u, d_hat)
+    assert c.deficit == pytest.approx(expected, rel=1e-14)
 
 
 def test_chain_value_bicycle_initial_point(bicycle_scenario):
@@ -88,23 +94,22 @@ def test_chain_value_bicycle_initial_point(bicycle_scenario):
     x = np.array([15.0, 10.0, math.pi / 2, 0.5])
     u = np.zeros(1)
     zero = np.zeros(1)
-    b0 = chain_value(chain, 0, model, _zero_phi(1), x, u, zero, 0.0, None)
-    assert b0 == pytest.approx(324.0, abs=1e-12)
-    b1 = chain_value(chain, 1, model, _zero_phi(1), x, u, zero, 0.0, None)
-    assert b1 == pytest.approx(74.8, abs=1e-10)  # 0 + 10 + 0.2 * 324
+    _, values, _ = build_constraints(model, (), chain, np.zeros(1), x, u, zero, 0.0, None)
+    assert values["b0"] == pytest.approx(324.0, abs=1e-12)
+    assert values["b1"] == pytest.approx(74.8, abs=1e-10)  # 0 + 10 + 0.2 * 324
 
 
 def test_chain_value_fixed_point_is_zero():
     model = SystemModel(n=2, m=1, p=1, F=lambda x, u: (0.0, 0.0),
                         ell=lambda x: np.zeros((2, 1)))
-    lvl0 = BarrierSpec(h=lambda x, u: 0.0, gamma=GAM,
+    lvl0 = BarrierSpec(h=lambda x, u: 0.0, gamma=GAM, label="b0",
                        grad_x=lambda x, u: (1.0, 0.0), grad_u=lambda x, u: (0.0,))
-    lvl1 = BarrierSpec(h=lambda x, u: 0.0, gamma=GAM,
+    lvl1 = BarrierSpec(h=lambda x, u: 0.0, gamma=GAM, label="b1",
                        grad_x=lambda x, u: (0.0, 1.0), grad_u=lambda x, u: (1.0,))
     chain = BarrierChain(levels=(lvl0, lvl1), gammas=(GAM,))
-    val = chain_value(chain, 1, model, np.zeros(1), np.zeros(2), np.zeros(1),
-                      np.zeros(1), 0.0, None)
-    assert val == 0.0
+    _, values, _ = build_constraints(model, (), chain, np.zeros(1), np.zeros(2), np.zeros(1),
+                                     np.zeros(1), 0.0, None)
+    assert values["b1"] == 0.0
 
 
 def test_chain_value_is_pure(bicycle_scenario):
@@ -112,18 +117,11 @@ def test_chain_value_is_pure(bicycle_scenario):
     model = bicycle_scenario.model
     x = np.array([4.0, -3.0, 1.1, 0.5])
     u = np.array([0.2])
-    args = (model, np.array([0.3]), x, u, np.zeros(1), 1.5, None)
-    first = chain_values(chain, *args)
-    second = chain_values(chain, *args)
-    assert first == second
-
-
-def test_chain_value_index_bounds(bicycle_scenario):
-    chain = bicycle_scenario.chain
-    model = bicycle_scenario.model
-    with pytest.raises(ContractViolationError):
-        chain_value(chain, 3, model, np.zeros(1), np.zeros(4), np.zeros(1),
-                    np.zeros(1), 0.0, None)
+    args = (model, (), chain, np.array([0.3]), x, u, np.zeros(1), 1.5, None)
+    first, first_values, _ = build_constraints(*args)
+    second, second_values, _ = build_constraints(*args)
+    assert first_values == second_values
+    assert [c.rhs for c in first] == [c.rhs for c in second]
 
 
 def test_chain_requires_enough_gammas():
@@ -131,8 +129,10 @@ def test_chain_requires_enough_gammas():
                       grad_x=lambda x, u: (0.0,), grad_u=lambda x, u: (0.0,))
     with pytest.raises(ConfigurationError):
         BarrierChain(levels=(lvl, lvl, lvl), gammas=(GAM,))
-    # extra gammas are accepted and unused (the bicycle config carries one)
-    BarrierChain(levels=(lvl, lvl), gammas=(GAM, GAM, GAM))
+    # a chain takes exactly m rates: a trailing extra one is rejected too
+    with pytest.raises(ConfigurationError):
+        BarrierChain(levels=(lvl, lvl), gammas=(GAM, GAM))
+    assert BarrierChain(levels=(lvl, lvl, lvl), gammas=(GAM, GAM)).m == 2
 
 
 def test_gradient_fallback_wraps_missing_gradients():

@@ -62,7 +62,7 @@ def test_run_csv_is_byte_identical_across_reruns(tmp_path):
     b = tmp_path / "b"
     for out in (a, b):
         rc = run_cli("run", "--scenario", "acc", "--t-end", "1.0",
-                     "--seed", "42", "--out", str(out))
+                     "--out", str(out))
         assert rc == EXIT_OK
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
@@ -190,3 +190,26 @@ def test_config_file_overrides_and_flags_win(tmp_path):
     summary = validate_summary(tmp_path / "b" / "summary.json")
     assert summary["filter"] == "do_icbf"  # the flag beat the file
     assert not (tmp_path / "a").exists()
+
+
+def test_usage_errors_exit_config_not_infeasible(tmp_path, capsys):
+    # argparse's own status 2 would read as EXIT_INFEASIBLE
+    assert run_cli("run", "--scenario", "acc", "--dt", "abc",
+                   "--out", str(tmp_path)) == EXIT_CONFIG
+    assert run_cli("run", "--scenario", "acc", "--seed", "42",
+                   "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "--dt" in capsys.readouterr().err
+    assert run_cli("run", "--help") == EXIT_OK
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_unknown_override_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "scenario": "bicycle", "t_end": 0.1,
+        "overrides": {"gamma3": 1.0}, "out": str(tmp_path / "out"),
+    }))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'gamma3'" in err
+    assert "gamma2" in err and "initial_x" in err

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from do_icbf import (ConfigurationError, FilterConstraint, SimConfig,
-                     SplitMix64, run_closed_loop, safe_rate, solve_multi,
+from do_icbf import (ConfigurationError, FilterConstraint, ObserverState,
+                     SimConfig, SplitMix64, build_constraints,
+                     disturbance_estimate, run_closed_loop, solve_multi,
                      solve_single)
-from do_icbf.observer import ObserverState
 
 from oracles import (active_set_oracle, grid_polish_oracle,
                      interval_oracle_1d, random_instances)
@@ -140,15 +140,21 @@ def test_solve_multi_complementary_slackness():
                 assert slack > -1e-9 * scale
 
 
+def _safe_rate(sc, phi, r, x, u, t):
+    """phi + v* from the observer estimate, as the vector kernel computes it."""
+    d_hat = disturbance_estimate(sc.obs_cfg, ObserverState(r), x)
+    constraints, _, _ = build_constraints(sc.model, sc.barriers, sc.chain, phi, x, u,
+                                          d_hat, t, sc.obs_cfg)
+    result = solve_multi(constraints)
+    return phi + result.v_star, result, constraints
+
+
 def test_safe_rate_slack_constraints_leave_phi_untouched(bicycle_scenario):
     sc = bicycle_scenario
-    x = sc.initial.x
-    u = sc.initial.u
     phi = np.array([0.05])
-    u_dot, diag = safe_rate(sc.model, sc.barriers, sc.chain, phi, sc.obs_cfg,
-                            ObserverState(sc.initial.r), x, u, 0.0)
-    assert not diag["infeasible"]
-    assert np.array_equal(diag["v_star"], np.zeros(1))
+    u_dot, result, _ = _safe_rate(sc, phi, sc.initial.r, sc.initial.x, sc.initial.u, 0.0)
+    assert not result.infeasible
+    assert np.array_equal(result.v_star, np.zeros(1))
     assert np.array_equal(u_dot, phi)
 
 
@@ -159,16 +165,14 @@ def test_safe_rate_active_constraint_matches_formula(acc_scenario):
     x = np.array([0.0, 13.0, 23.5])
     u = np.array([0.0])
     phi = np.array([2.0e5])
-    st = ObserverState(np.array([-13.0 + 2.0]))  # estimate = 2 exactly
-    u_dot, diag = safe_rate(sc.model, sc.barriers, sc.chain, phi, sc.obs_cfg,
-                            st, x, u, 30.0)
-    assert not diag["infeasible"]
-    cons = {c.label: c for c in diag["constraints"]}
-    he = cons["h_e"]
+    r = np.array([-13.0 + 2.0])  # estimate = 2 exactly
+    u_dot, result, constraints = _safe_rate(sc, phi, r, x, u, 30.0)
+    assert not result.infeasible
+    he = {c.label: c for c in constraints}["h_e"]
     f = he.rhs
     assert f > 0.0
     expected = f / float(he.p_row @ he.p_row) * he.p_row
-    assert np.allclose(diag["v_star"], expected, rtol=1e-10)
+    assert np.allclose(result.v_star, expected, rtol=1e-10)
     assert np.allclose(u_dot, phi + expected, rtol=1e-10)
 
 
@@ -179,12 +183,9 @@ def test_safe_rate_bicycle_start_needs_no_correction(bicycle_scenario):
 
 
 def test_safe_rate_propagates_infeasibility(example1_scenario):
-    sc = example1_scenario
-    x = np.array([4.0])
-    u = np.zeros(1)
-    _, diag = safe_rate(sc.model, sc.barriers, None, np.zeros(1), sc.obs_cfg,
-                        ObserverState(np.zeros(1)), x, u, 0.0)
-    assert diag["infeasible"]
+    _, result, _ = _safe_rate(example1_scenario, np.zeros(1), np.zeros(1), np.array([4.0]),
+                              np.zeros(1), 0.0)
+    assert result.infeasible
 
 
 def test_classic_state_feedback_qp_as_degenerate_case():

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (ConfigurationError, ContractViolationError,
-                     DisturbanceBounds, ObserverConfig, ObserverState,
-                     SimConfig, check_gain_condition,
+from do_icbf import (BarrierSpec, ClassKFunction, ConfigurationError,
+                     ContractViolationError, DisturbanceBounds, ObserverConfig,
+                     ObserverState, SimConfig, SplitMix64, SystemModel,
+                     build_constraints, check_gain_condition,
                      disturbance_estimate, error_envelope,
                      finite_diff_gradient, observer_rhs, projection_gain,
-                     robustness_margin, run_closed_loop)
+                     run_closed_loop)
 
 BOUNDS = DisturbanceBounds(k0=2.0, k1=0.0)
 
@@ -114,10 +115,20 @@ def test_envelope_monotone_both_directions():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def _margin(cfg, grad, model, x, t):
+    """The robustness margin build_constraints puts on a barrier with this x-gradient."""
+    spec = BarrierSpec(h=lambda x, u: 1.0, gamma=ClassKFunction.linear(1.0),
+                       grad_x=lambda x, u: grad, grad_u=lambda x, u: (0.0,))
+    (c,), _, margin_max = build_constraints(model, (spec,), None, np.zeros(1), x,
+                                            np.zeros(1), np.zeros(model.p), t, cfg)
+    assert margin_max == c.margin
+    return c.margin
+
+
 def test_margin_orthogonal_channel_is_zero(acc_scenario):
     cfg = acc_scenario.obs_cfg
     grad = np.array([1.0, 0.0, 7.0])  # no component along ell = (0,1,0)
-    assert robustness_margin(cfg, grad, acc_scenario.model, np.zeros(3), 1.0) == 0.0
+    assert _margin(cfg, grad, acc_scenario.model, np.zeros(3), 1.0) == 0.0
 
 
 def test_margin_acc_row_matches_generic_path(acc_scenario):
@@ -130,20 +141,18 @@ def test_margin_acc_row_matches_generic_path(acc_scenario):
     gx = np.asarray(h_e.grad_x(x, u), dtype=float)
     t = 0.7
     by_hand = abs(gx[1]) * error_envelope(cfg, t)
-    assert robustness_margin(cfg, gx, model, x, t) == pytest.approx(by_hand, rel=1e-14)
+    assert _margin(cfg, gx, model, x, t) == pytest.approx(by_hand, rel=1e-14)
 
 
 def test_margin_zero_for_perfect_constant_estimate():
     cfg = make_cfg(e0=0.0, bounds=DisturbanceBounds(2.0, 0.0))
     assert error_envelope(cfg, 0.0) == 0.0
-    from do_icbf import SystemModel
     model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (0.0,),
                         ell=lambda x: np.ones((1, 1)))
-    assert robustness_margin(cfg, np.ones(1), model, np.zeros(1), 0.0) == 0.0
+    assert _margin(cfg, np.ones(1), model, np.zeros(1), 0.0) == 0.0
 
 
 def test_margin_nonnegative_random():
-    from do_icbf import SplitMix64, SystemModel
     rng = SplitMix64(99)
     cfg = make_cfg(e0=1.0, bounds=DisturbanceBounds(1.0, 0.3))
     model = SystemModel(n=3, m=1, p=1, F=lambda x, u: (0.0, 0.0, 0.0),
@@ -151,7 +160,7 @@ def test_margin_nonnegative_random():
     for _ in range(200):
         grad = np.array([rng.uniform(-5, 5) for _ in range(3)])
         t = rng.uniform(0.0, 20.0)
-        assert robustness_margin(cfg, grad, model, np.zeros(3), t) >= 0.0
+        assert _margin(cfg, grad, model, np.zeros(3), t) >= 0.0
 
 
 def test_q_fn_jacobian_matches_gain(acc_scenario, bicycle_scenario):
