@@ -80,6 +80,8 @@ class BarrierChain:
                 f"chain of length m={self.m} needs exactly {self.m} class-K rates, "
                 f"got {len(self.gammas)}"
             )
+        if len(set(self.labels)) != len(self.levels):
+            raise ConfigurationError(f"chain level labels must be distinct, got {self.labels}")
 
     @property
     def m(self) -> int:

@@ -16,15 +16,16 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError
 from .filter import check_validity
 from .model import DisturbanceBounds
 from .scenarios import BUILDERS, build_scenario, sinusoid_disturbance
-from .simulate import FILTER_MODES, SimConfig, run_closed_loop, summarize
+from .simulate import SimConfig, run_closed_loop, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,21 +55,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg: dict = {"schema": 1}
     if args.config:
         cfg.update(load_config(args.config))
-    if args.scenario:
-        cfg["scenario"] = args.scenario
-    if getattr(args, "filter", None):
-        cfg["filter"] = args.filter
-    if getattr(args, "baseline", None):
-        cfg["baseline"] = args.baseline
-    if args.dt is not None:
-        cfg["dt"] = args.dt
-    if args.t_end is not None:
-        cfg["t_end"] = args.t_end
-    if args.out is not None:
-        cfg["out"] = args.out
+    for key in ("scenario", "filter", "baseline", "dt", "t_end", "out"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "emit_plot", False):
         cfg["emit_plot"] = True
-    cfg.setdefault("log_stride", 1)
     if "scenario" not in cfg:
         raise ConfigurationError("no scenario given (use --scenario or a config file)")
     return cfg
@@ -88,6 +79,8 @@ def _build_from_config(cfg: dict):
                                  f"scenario {name!r}; accepted: {', '.join(sorted(accepted))}")
     dist = overrides.pop("disturbance", None)
     if dist is not None:
+        if not isinstance(dist, dict):
+            raise ConfigurationError(f"overrides.disturbance must be a JSON object, got {dist!r}")
         kind = dist.get("kind")
         if kind == "constant":
             value = float(dist["value"])
@@ -120,22 +113,59 @@ def _outdir(cfg: dict) -> Path:
     return path
 
 
-def _sim_config(cfg: dict, scenario, mode: str) -> SimConfig:
-    return SimConfig(
-        dt=float(cfg.get("dt", 1e-3)),
-        t_end=float(cfg.get("t_end", scenario.default_t_end)),
-        log_stride=int(cfg.get("log_stride", 1)),
-        filter_mode=mode,
-    )
+def _sim_configs(cfg: dict, scenario, command: str) -> list:
+    """One SimConfig per mode: the filter mode and, for compare, its baseline."""
+    modes = [cfg.get("filter", scenario.designated_mode)]
+    if command == "compare":
+        modes.append(cfg.get("baseline", scenario.baseline_mode))
+        if modes[0] == modes[1]:
+            raise ConfigurationError(f"degenerate comparison: both modes are {modes[0]!r}")
+    settings = {key: cast(cfg[key]) for key, cast in (("dt", float), ("log_stride", int))
+                if key in cfg}
+    t_end = float(cfg.get("t_end", scenario.default_t_end))
+    return [SimConfig(t_end=t_end, filter_mode=mode, **settings) for mode in modes]
 
 
-def _config_echo(cfg: dict) -> dict:
-    echo = {
-        "scenario": cfg["scenario"],
-        "dt": float(cfg.get("dt", 1e-3)),
-        "t_end": float(cfg.get("t_end", -1.0)),
-        "log_stride": int(cfg.get("log_stride", 1)),
-    }
+def _check_plan(cfg: dict, scenario) -> tuple:
+    """The validated `check` block as (targets, box, resolution, times).
+
+    Targets come chain first, then the plain barriers; any label of the
+    chain selects the whole chain. Without `barriers` every label is wanted.
+    """
+    check = cfg.get("check", {})
+    if not isinstance(check, dict):
+        raise ConfigurationError(f"check must be a JSON object, got {check!r}")
+    accepted = scenario.value_labels
+    wanted = check.get("barriers", accepted)
+    if not (isinstance(wanted, list) and wanted and all(lab in accepted for lab in wanted)):
+        raise ConfigurationError(f"check.barriers must be a non-empty list of labels from "
+                                 f"{accepted}, got {wanted!r}")
+    chain = scenario.chain
+    targets = [chain] if chain is not None and set(chain.labels) & set(wanted) else []
+    specs = [b for b in scenario.barriers if b.label in wanted]
+    targets += [specs] if specs else []
+    box = scenario.check_box or scenario.domain
+    dims = len(box.x_low) + len(box.u_low)
+    resolution = check.get("resolution", scenario.check_resolution)
+    if not (_grid_count(resolution) or isinstance(resolution, list)
+            and len(resolution) == dims and all(map(_grid_count, resolution))):
+        raise ConfigurationError(f"check.resolution must be an int >= 2 or a list of {dims} "
+                                 f"such ints, got {resolution!r}")
+    times = check.get("times")
+    if times is not None and not (isinstance(times, list) and times and all(
+            type(t) in (int, float) and math.isfinite(t) and t >= 0 for t in times)):
+        raise ConfigurationError(f"check.times must be a non-empty list of finite numbers "
+                                 f">= 0, got {times!r}")
+    return targets, box, resolution, times
+
+
+def _grid_count(r) -> bool:
+    return type(r) is int and r >= 2  # a JSON true is no count
+
+
+def _config_echo(cfg: dict, sim: SimConfig) -> dict:
+    echo = {"scenario": cfg["scenario"], "dt": sim.dt, "t_end": sim.t_end,
+            "log_stride": sim.log_stride}
     if cfg.get("overrides"):
         echo["overrides"] = {
             k: v for k, v in cfg["overrides"].items() if _json_safe(v)
@@ -153,119 +183,49 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _merge_config(args)
-        scenario = _build_from_config(cfg)
-        mode = cfg.get("filter", scenario.designated_mode)
-        if mode not in FILTER_MODES:
-            raise ConfigurationError(f"unknown filter mode {mode!r}")
-        out = _outdir(cfg)
-        sim_cfg = _sim_config(cfg, scenario, mode)
-    except (ConfigurationError, ContractViolationError, OSError, KeyError,
-            ValueError) as exc:
-        return _fail(str(exc))
-
-    log = run_closed_loop(scenario, sim_cfg)
-    metrics = summarize(log, scenario)
-    log.write_csv(out / "trajectory.csv")
-    echo = _config_echo(cfg)
-    echo["t_end"] = sim_cfg.t_end
-    summary = {
-        "schema": 1,
-        "kind": "run",
-        "scenario": scenario.name,
-        "filter": mode,
-        "metrics": metrics,
-        "config": echo,
-    }
+def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> int:
+    """Run, summarize and write the CSV of each mode, then the summary of the
+    `run` or `compare` kind; returns the exit code of the worst halt."""
+    per_mode = {}
+    for sim in sims:
+        log = run_closed_loop(scenario, sim)
+        metrics = summarize(log, scenario)
+        csv = out / ("trajectory.csv" if command == "run"
+                     else f"trajectory_{sim.filter_mode}.csv")
+        log.write_csv(csv)
+        per_mode[sim.filter_mode] = metrics
+    summary = {"schema": 1, "kind": command, "scenario": scenario.name}
+    if command == "run":
+        summary.update(filter=sim.filter_mode, metrics=metrics)
+        lines = [f"wrote {csv} ({metrics['steps_logged']} rows, "
+                 f"halt={metrics['halt_reason']})"]
+    else:
+        summary.update(modes=list(per_mode), per_mode=per_mode)
+        lines = [f"{mode}: min barrier values "
+                 + ", ".join(f"{k}={v:.4g}" for k, v in sorted(m["barrier_min"].items()))
+                 for mode, m in per_mode.items()]
+    summary["config"] = _config_echo(cfg, sim)
     _write_json(out / "summary.json", summary)
-    if cfg.get("emit_plot"):
+    if command == "run" and cfg.get("emit_plot"):
         (out / "plot.gp").write_text(plot_script(log), encoding="utf-8")
-    print(f"wrote {out / 'trajectory.csv'} ({metrics['steps_logged']} rows, "
-          f"halt={metrics['halt_reason']})")
-    return _HALT_EXIT[metrics["halt_reason"]]
+    print("\n".join(lines))
+    return max(_HALT_EXIT[m["halt_reason"]] for m in per_mode.values())
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        cfg = _merge_config(args)
-        scenario = _build_from_config(cfg)
-        out = _outdir(cfg)
-        check_cfg = cfg.get("check", {})
-        resolution = check_cfg.get("resolution", scenario.check_resolution)
-        times = check_cfg.get("times")
-        target = scenario.chain if scenario.chain is not None else list(scenario.barriers)
-        if "barriers" in check_cfg:
-            wanted = set(check_cfg["barriers"])
-            if scenario.chain is not None and scenario.chain.levels[-1].label in wanted:
-                target = scenario.chain
-            else:
-                target = [b for b in scenario.barriers if b.label in wanted]
-            if not target:
-                raise ConfigurationError(f"no barriers match {sorted(wanted)}")
-        box = scenario.check_box or scenario.domain
-        phi_zero = lambda x, u: (0.0,) * scenario.model.m
-        report = check_validity(target, scenario.model, phi_zero, box, resolution,
-                                obs_cfg=scenario.obs_cfg, times=times)
-        # A chained scenario may carry plain barriers too; fold their check in.
-        if scenario.chain is not None and scenario.barriers and "barriers" not in check_cfg:
-            extra = check_validity(list(scenario.barriers), scenario.model, phi_zero,
-                                   box, resolution, obs_cfg=scenario.obs_cfg, times=times)
-            report.valid = report.valid and extra.valid
-            report.counterexamples.extend(extra.counterexamples)
-    except (ConfigurationError, ContractViolationError, OSError, KeyError,
-            ValueError) as exc:
-        return _fail(str(exc))
+def cmd_check(scenario, targets: list, box, resolution, times, out: Path) -> int:
+    """Grid-check each target, fold the reports into the first and write it."""
+    phi_zero = lambda x, u: (0.0,) * scenario.model.m
+    report, *extra = [check_validity(target, scenario.model, phi_zero, box, resolution,
+                                     obs_cfg=scenario.obs_cfg, times=times)
+                      for target in targets]
+    for part in extra:
+        report.valid = report.valid and part.valid
+        report.counterexamples.extend(part.counterexamples)
     (out / "validity.json").write_text(report.to_json() + "\n", encoding="utf-8")
     verdict = "valid" if report.valid else f"{len(report.counterexamples)} counterexamples"
     print(f"wrote {out / 'validity.json'} ({verdict}, "
           f"relative_degree={report.relative_degree})")
     return EXIT_OK if report.valid else EXIT_INVALID
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        cfg = _merge_config(args)
-        scenario = _build_from_config(cfg)
-        mode_a = cfg.get("filter", scenario.designated_mode)
-        mode_b = cfg.get("baseline", scenario.baseline_mode)
-        for mode in (mode_a, mode_b):
-            if mode not in FILTER_MODES:
-                raise ConfigurationError(f"unknown filter mode {mode!r}")
-        if mode_a == mode_b:
-            raise ConfigurationError(
-                f"degenerate comparison: both modes are {mode_a!r}")
-        out = _outdir(cfg)
-    except (ConfigurationError, ContractViolationError, OSError, KeyError,
-            ValueError) as exc:
-        return _fail(str(exc))
-
-    per_mode = {}
-    worst = EXIT_OK
-    for mode in (mode_a, mode_b):
-        sim_cfg = _sim_config(cfg, scenario, mode)
-        log = run_closed_loop(scenario, sim_cfg)
-        metrics = summarize(log, scenario)
-        log.write_csv(out / f"trajectory_{mode}.csv")
-        per_mode[mode] = metrics
-        worst = max(worst, _HALT_EXIT[metrics["halt_reason"]])
-    echo = _config_echo(cfg)
-    echo["t_end"] = float(cfg.get("t_end", scenario.default_t_end))
-    summary = {
-        "schema": 1,
-        "kind": "compare",
-        "scenario": scenario.name,
-        "modes": [mode_a, mode_b],
-        "per_mode": per_mode,
-        "config": echo,
-    }
-    _write_json(out / "summary.json", summary)
-    for mode in (mode_a, mode_b):
-        mins = per_mode[mode]["barrier_min"]
-        print(f"{mode}: min barrier values "
-              + ", ".join(f"{k}={v:.4g}" for k, v in sorted(mins.items())))
-    return worst
 
 
 def plot_script(log) -> str:
@@ -315,29 +275,26 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_modes: bool):
+    def common(p, simulates: bool):
         p.add_argument("--scenario", help=f"built-in scenario name ({', '.join(sorted(BUILDERS))})")
         p.add_argument("--config", help="path to a JSON config file (schema 1)")
-        if with_modes:
+        if simulates:
             p.add_argument("--filter", help="filter mode: off | icbf | do_icbf | high_order")
-        p.add_argument("--dt", type=float, help="integration step [s]")
-        p.add_argument("--t-end", dest="t_end", type=float, help="horizon [s]")
+            p.add_argument("--dt", type=float, help="integration step [s]")
+            p.add_argument("--t-end", dest="t_end", type=float, help="horizon [s]")
         p.add_argument("--out", help="output directory (default $DO_ICBF_OUT or ./do-icbf-out)")
 
     p_run = sub.add_parser("run", help="simulate one scenario and write CSV + summary")
-    common(p_run, with_modes=True)
+    common(p_run, simulates=True)
     p_run.add_argument("--emit-plot", action="store_true",
                        help="also write a gnuplot script plot.gp")
-    p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="grid-check barrier validity")
-    common(p_check, with_modes=False)
-    p_check.set_defaults(fn=cmd_check)
+    common(p_check, simulates=False)
 
     p_cmp = sub.add_parser("compare", help="run two filter modes and contrast them")
-    common(p_cmp, with_modes=True)
+    common(p_cmp, simulates=True)
     p_cmp.add_argument("--baseline", help="second filter mode (default: scenario's ablation)")
-    p_cmp.set_defaults(fn=cmd_compare)
     return parser
 
 
@@ -346,7 +303,19 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    return args.fn(args)
+    # One prepare step: every config error exits 1 here, before anything is
+    # written (ConfigurationError and ContractViolationError are ValueErrors).
+    try:
+        cfg = _merge_config(args)
+        scenario = _build_from_config(cfg)
+        plan = (_check_plan(cfg, scenario) if args.command == "check"
+                else _sim_configs(cfg, scenario, args.command))
+        out = _outdir(cfg)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return _fail(str(exc))
+    if args.command == "check":
+        return cmd_check(scenario, *plan, out)
+    return cmd_simulate(args.command, cfg, scenario, plan, out)
 
 
 def entry() -> None:

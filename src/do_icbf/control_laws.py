@@ -204,9 +204,6 @@ class PredictiveCruiseRate:
     def __init__(self, law: ACCPredictiveLaw):
         self.law = law
 
-    def reset(self, x0: Array, u0: Array) -> None:
-        pass
-
     def rate(self, t: float, x, u, dt: float):
         return (acc_rate(self.law, float(x[1]), float(u[0])),)
 
@@ -235,18 +232,12 @@ class StanleyRateLaw:
         delta = stanley_steer(self.law, (x[0], x[1], x[2]), float(x[3]))
         return max(-self.max_steer, min(self.max_steer, delta))
 
-    def reset(self, x0: Array, u0: Array) -> None:
-        pass
-
     def rate(self, t: float, x, u, dt: float):
         return (stanley_rate(float(u[0]), self.command(x), dt),)
 
 
 class ZeroRate:
     """No nominal action (udot = 0); used by validity-check-only scenarios."""
-
-    def reset(self, x0: Array, u0: Array) -> None:
-        pass
 
     def rate(self, t: float, x, u, dt: float):
         return (0.0,) * len(u)

@@ -48,10 +48,10 @@ class SimConfig:
     filter_mode: str = "do_icbf"
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ConfigurationError(f"t_end must be >= dt, got {self.t_end}")
+        if not 0.0 < self.dt < math.inf:  # also rejects NaN
+            raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
+        if not self.dt <= self.t_end < math.inf:
+            raise ConfigurationError(f"t_end must be finite and >= dt, got {self.t_end}")
         if self.log_stride < 1:
             raise ConfigurationError(f"log_stride must be >= 1, got {self.log_stride}")
         if self.filter_mode not in FILTER_MODES:
@@ -66,7 +66,7 @@ class Scenario:
 
     name: str
     model: SystemModel
-    law: object  # rate-law adapter with reset()/rate()
+    law: object  # rate-law adapter with rate(t, x, u, dt); each run takes a deep copy
     obs_cfg: ObserverConfig
     initial: AugmentedState
     domain: DomainBox
@@ -84,6 +84,12 @@ class Scenario:
     # callables that accept plain sequences. The builders in scenarios.py
     # qualify; custom scenarios keep the vector kernel unless they opt in.
     fast_loop: bool = False
+
+    def __post_init__(self):
+        labels = self.value_labels
+        repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+        if repeated:
+            raise ConfigurationError(f"barrier labels must be distinct, repeated: {repeated}")
 
     def validate_initial(self) -> None:
         """The start point must lie in every protected set (filters only keep
@@ -187,7 +193,6 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     flagged fast_loop take the float kernel, all others the vector kernel.
     """
     law = copy.deepcopy(scenario.law)
-    law.reset(scenario.initial.x, scenario.initial.u)
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
     z, decide, log_row, advance = make_kernel(scenario, law, cfg)
     log = TrajectoryLog(scenario, cfg)
@@ -297,13 +302,14 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
 def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     """Step kernel on plain floats, with the formulas of the vector kernel.
 
-    Preconditions (asserted): m = p = 1, constant channel column, constant
-    observer gain row with the default potential q = L_d x. The state is a
-    list and the step is (infeasible, phi, v_star, d_hat, values, cons,
-    margin) with cons the (p, rhs) float pairs; otherwise as _vector_kernel.
-    Its sums and RK4 combination round differently from numpy's, so the two
-    kernels agree to ~1e-12, not bit for bit, and tests pin each one
-    separately.
+    Checked preconditions: m = p = 1 and a constant observer gain L_d.
+    Vouched for by fast_loop=True and not checked: a constant channel column
+    ell, which is read once at x0, and the default potential q = L_d x. The
+    state is a list and the step is (infeasible, phi, v_star, d_hat, values,
+    cons, margin) with cons the (p, rhs) float pairs; otherwise as
+    _vector_kernel. Its sums and RK4 combination round differently from
+    numpy's, so the two kernels agree to ~1e-12, not bit for bit, and tests
+    pin each one separately.
     """
     model = scenario.model
     n = model.n

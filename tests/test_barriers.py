@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -125,14 +126,32 @@ def test_chain_value_is_pure(bicycle_scenario):
 
 
 def test_chain_requires_enough_gammas():
-    lvl = BarrierSpec(h=lambda x, u: 1.0, gamma=GAM,
-                      grad_x=lambda x, u: (0.0,), grad_u=lambda x, u: (0.0,))
-    with pytest.raises(ConfigurationError):
-        BarrierChain(levels=(lvl, lvl, lvl), gammas=(GAM,))
+    b0, b1, b2 = (BarrierSpec(h=lambda x, u: 1.0, gamma=GAM, grad_x=lambda x, u: (0.0,),
+                              grad_u=lambda x, u: (0.0,), label=f"b{i}") for i in range(3))
+    with pytest.raises(ConfigurationError, match="class-K rates"):
+        BarrierChain(levels=(b0, b1, b2), gammas=(GAM,))
     # a chain takes exactly m rates: a trailing extra one is rejected too
-    with pytest.raises(ConfigurationError):
-        BarrierChain(levels=(lvl, lvl), gammas=(GAM, GAM))
-    assert BarrierChain(levels=(lvl, lvl, lvl), gammas=(GAM, GAM)).m == 2
+    with pytest.raises(ConfigurationError, match="class-K rates"):
+        BarrierChain(levels=(b0, b1), gammas=(GAM, GAM))
+    assert BarrierChain(levels=(b0, b1, b2), gammas=(GAM, GAM)).m == 2
+
+
+def test_repeated_labels_are_rejected(acc_scenario):
+    # two levels under the default label "h" would share one value and one
+    # b_h log column
+    lvl0 = BarrierSpec(h=lambda x, u: 1.25, gamma=GAM, grad_x=lambda x, u: (0.0,),
+                       grad_u=lambda x, u: (0.0,))
+    lvl1 = BarrierSpec(h=lambda x, u: 0.25, gamma=GAM, grad_x=lambda x, u: (0.0,),
+                       grad_u=lambda x, u: (1.0,))
+    with pytest.raises(ConfigurationError, match="distinct"):
+        BarrierChain(levels=(lvl0, lvl1), gammas=(GAM,))
+    # plain barriers may neither repeat a label nor reuse a chain label
+    h_u = acc_scenario.barriers[0]
+    with pytest.raises(ConfigurationError, match="'h_u'"):
+        dataclasses.replace(acc_scenario, barriers=(h_u, h_u))
+    with pytest.raises(ConfigurationError, match="'h_x'"):
+        dataclasses.replace(acc_scenario,
+                            barriers=(dataclasses.replace(h_u, label="h_x"),))
 
 
 def test_gradient_fallback_wraps_missing_gradients():
@@ -197,10 +216,10 @@ def test_check_validity_bicycle_chain_degree_two(bicycle_scenario):
 def test_check_validity_degree_never_exceeds_m(bicycle_scenario):
     # degenerate chain whose every level is input-free still reports <= m
     model = bicycle_scenario.model
-    lvl = BarrierSpec(h=lambda x, u: 1.0 + x[0] ** 2, gamma=GAM,
-                      grad_x=lambda x, u: (2.0 * x[0], 0.0, 0.0, 0.0),
-                      grad_u=lambda x, u: (0.0,))
-    chain = BarrierChain(levels=(lvl, lvl), gammas=(GAM,))
+    b0, b1 = (BarrierSpec(h=lambda x, u: 1.0 + x[0] ** 2, gamma=GAM,
+                          grad_x=lambda x, u: (2.0 * x[0], 0.0, 0.0, 0.0),
+                          grad_u=lambda x, u: (0.0,), label=f"b{i}") for i in range(2))
+    chain = BarrierChain(levels=(b0, b1), gammas=(GAM,))
     box = DomainBox(x_low=(-1.0, -1.0, -1.0, 0.1), x_high=(1.0, 1.0, 1.0, 1.0),
                     u_low=(-0.5,), u_high=(0.5,))
     report = check_validity(chain, model, lambda x, u: (0.0,), box, 3)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 
+from do_icbf import cli
 from do_icbf.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, main)
 
@@ -109,6 +112,83 @@ def test_check_empty_barrier_selection_fails(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def _check_config(tmp_path, check, scenario="acc"):
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "check": check,
+                               "out": str(tmp_path / "out")}))
+    return cfg
+
+
+def test_check_barrier_selection(tmp_path, monkeypatch, capsys):
+    checked = []
+
+    def recording_check(target, *args, **kwargs):
+        labels = target.labels if hasattr(target, "labels") else [b.label for b in target]
+        checked.append(tuple(labels))
+        return real_check(target, *args, **kwargs)
+
+    real_check = cli.check_validity
+    monkeypatch.setattr(cli, "check_validity", recording_check)
+    # chain first, then plain barriers; any chain label selects the whole chain
+    for wanted, expected in ((None, [("h_x", "h_e"), ("h_u",)]),
+                             (["h_e", "h_u"], [("h_x", "h_e"), ("h_u",)]),
+                             (["h_x"], [("h_x", "h_e")]),
+                             (["h_u"], [("h_u",)])):
+        check = {"resolution": 2} if wanted is None else {"resolution": 2, "barriers": wanted}
+        checked.clear()
+        assert run_cli("check", "--config", str(_check_config(tmp_path, check))) == EXIT_OK
+        assert checked == expected, wanted
+    checked.clear()
+    cfg = _check_config(tmp_path, {"barriers": ["h_u", "h_q"]})
+    assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'h_q'" in err and "['h_x', 'h_e', 'h_u']" in err
+    assert checked == []
+
+
+def test_check_config_is_validated_before_writing(tmp_path, capsys):
+    bad = [({"times": "5"}, "check.times"),
+           ({"times": [0.0, -1.0]}, "check.times"),
+           ({"times": [float("nan")]}, "check.times"),
+           ({"times": []}, "check.times"),
+           ({"resolution": "7777"}, "check.resolution"),
+           ({"resolution": 1}, "check.resolution"),
+           ({"resolution": True}, "check.resolution"),
+           ({"resolution": [3, 3]}, "check.resolution"),
+           ({"resolution": [3, 3, 3, 2.5]}, "check.resolution")]
+    for check, field in bad:
+        cfg = _check_config(tmp_path, check)
+        assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG, check
+        assert field in capsys.readouterr().err, check
+        assert not (tmp_path / "out").exists(), check
+    cfg = _check_config(tmp_path, {"times": [0, 2.5], "resolution": [2, 3, 2, 2]})
+    assert run_cli("check", "--config", str(cfg)) == EXIT_OK
+
+
+def _entry(*argv, cwd):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", "from do_icbf.cli import entry; entry()",
+                           *argv], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_console_entry_exit_codes(tmp_path):
+    for command in ("compare", "run"):
+        out = tmp_path / command
+        proc = _entry(command, "--scenario", "acc", "--dt", "-1", "--out", str(out),
+                      cwd=tmp_path)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("do-icbf: error:")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+    proc = _entry("check", "--scenario", "example1", "--out", str(tmp_path / "chk"),
+                  cwd=tmp_path)
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert (tmp_path / "chk" / "validity.json").exists()
+
+
 def test_compare_acc_contrast(tmp_path):
     rc = run_cli("compare", "--scenario", "acc", "--t-end", "20.0",
                  "--out", str(tmp_path))
@@ -200,6 +280,9 @@ def test_usage_errors_exit_config_not_infeasible(tmp_path, capsys):
                    "--out", str(tmp_path)) == EXIT_CONFIG
     assert "--dt" in capsys.readouterr().err
     assert run_cli("run", "--help") == EXIT_OK
+    # check integrates nothing, so it takes no step or horizon
+    assert run_cli("check", "--scenario", "example1", "--dt", "-1",
+                   "--out", str(tmp_path)) == EXIT_CONFIG
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -213,3 +296,8 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'gamma3'" in err
     assert "gamma2" in err and "initial_x" in err
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "acc", "overrides": {"disturbance": 5},
+                               "out": str(tmp_path / "out")}))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    assert "overrides.disturbance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

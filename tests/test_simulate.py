@@ -69,6 +69,10 @@ def test_sim_config_validation():
         SimConfig(dt=1e-3, t_end=1.0, log_stride=0)
     with pytest.raises(ConfigurationError):
         SimConfig(dt=1e-3, t_end=1.0, filter_mode="none")
+    # a NaN or infinite step or horizon has no step count
+    for dt, t_end in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
+        with pytest.raises(ConfigurationError):
+            SimConfig(dt=dt, t_end=t_end)
 
 
 def _static_scenario():
