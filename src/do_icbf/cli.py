@@ -6,9 +6,10 @@
 
 Exit codes partition the outcomes: 0 clean finish, 1 unusable arguments,
 config or I/O failure, 2 filter infeasibility, 3 numerical blow-up, 4 validity
-counterexamples found. Config files are JSON with a versioned top-level
-"schema": 1 field; command-line flags override config values. The default
-output directory comes from --out, else $DO_ICBF_OUT, else ./do-icbf-out.
+counterexamples found, 5 an error raised during a run. Config files are JSON
+with a versioned top-level "schema": 1 field; command-line flags override
+config values. The default output directory comes from --out, else
+$DO_ICBF_OUT, else ./do-icbf-out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .filter import check_validity
 from .model import DisturbanceBounds
-from .scenarios import BUILDERS, build_scenario, sinusoid_disturbance
+from .scenarios import BUILDERS, build_scenario, constant_disturbance, sinusoid_disturbance
 from .simulate import SimConfig, run_closed_loop, summarize
 
 EXIT_OK = 0
@@ -32,8 +33,10 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_BLOWUP = 3
 EXIT_INVALID = 4
+EXIT_ERROR = 5
 
-_HALT_EXIT = {"completed": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "blowup": EXIT_BLOWUP}
+_HALT_EXIT = {"completed": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "blowup": EXIT_BLOWUP,
+              "error": EXIT_ERROR}
 
 
 def _fail(message: str) -> int:
@@ -84,9 +87,7 @@ def _build_from_config(cfg: dict):
         kind = dist.get("kind")
         if kind == "constant":
             value = float(dist["value"])
-            import numpy as np
-            arr = np.array([value])
-            overrides["d_true"] = lambda t: arr
+            overrides["d_true"] = constant_disturbance(value)
             overrides["bounds"] = DisturbanceBounds(k0=abs(value), k1=0.0)
         elif kind == "sinusoid":
             amp = float(dist["amplitude"])
@@ -96,10 +97,9 @@ def _build_from_config(cfg: dict):
             overrides["bounds"] = DisturbanceBounds(k0=abs(amp), k1=abs(amp * omega))
         else:
             raise ConfigurationError(f"unknown disturbance kind {kind!r}")
-    if "initial_x" in overrides:
-        overrides["x0"] = tuple(overrides.pop("initial_x"))
-    if "initial_u" in overrides:
-        overrides["u0"] = tuple(overrides.pop("initial_u"))
+    for field_name, param in (("initial_x", "x0"), ("initial_u", "u0")):
+        if field_name in overrides:  # the builder checks the length
+            overrides[param] = overrides.pop(field_name)
     return build_scenario(name, **overrides)
 
 
@@ -167,14 +167,8 @@ def _config_echo(cfg: dict, sim: SimConfig) -> dict:
     echo = {"scenario": cfg["scenario"], "dt": sim.dt, "t_end": sim.t_end,
             "log_stride": sim.log_stride}
     if cfg.get("overrides"):
-        echo["overrides"] = {
-            k: v for k, v in cfg["overrides"].items() if _json_safe(v)
-        }
+        echo["overrides"] = dict(cfg["overrides"])  # JSON values, as loaded
     return echo
-
-
-def _json_safe(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, dict, type(None)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -194,6 +188,8 @@ def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> in
                      else f"trajectory_{sim.filter_mode}.csv")
         log.write_csv(csv)
         per_mode[sim.filter_mode] = metrics
+        if log.halt_reason == "error":
+            print(f"do-icbf: error: {sim.filter_mode}: {log.halt_message}", file=sys.stderr)
     summary = {"schema": 1, "kind": command, "scenario": scenario.name}
     if command == "run":
         summary.update(filter=sim.filter_mode, metrics=metrics)
@@ -253,6 +249,16 @@ def plot_script(log) -> str:
             f"     '' using {col['t']}:{col['b_b2']} with lines title 'b2'",
             "set xlabel 't [s]'; set ylabel 'heading [rad]'",
             f"plot 'trajectory.csv' using {col['t']}:{col['x2']} with lines title 'psi'",
+        ]
+    elif log.scenario_name == "example1":
+        lines += [
+            "set xlabel 't [s]'; set ylabel 'state'",
+            f"plot 'trajectory.csv' using {col['t']}:{col['x0']} with lines title 'x'",
+            "set xlabel 't [s]'; set ylabel 'barrier values'",
+            f"plot 'trajectory.csv' using {col['t']}:{col['b_h_x']} with lines title 'h_x', \\",
+            f"     '' using {col['t']}:{col['b_h_u']} with lines title 'h_u'",
+            "set xlabel 't [s]'; set ylabel 'input'",
+            f"plot 'trajectory.csv' using {col['t']}:{col['u0']} with lines title 'u'",
         ]
     else:
         lines += [

@@ -41,12 +41,13 @@ from .control_laws import (ACCPredictiveLaw, LinePath, PredictiveCruiseRate,
                            StanleyLaw, StanleyRateLaw, ZeroRate)
 from .errors import ConfigurationError
 from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
-                    SystemModel)
+                    SystemModel, _as_vector)
 from .observer import ObserverConfig, check_gain_condition
 from .simulate import Scenario
 
 
-def _constant_disturbance(value: float):
+def constant_disturbance(value: float):
+    """d(t) = value; bounds k0 = |value|, k1 = 0."""
     d = np.array([float(value)])
     return lambda t: d
 
@@ -90,8 +91,10 @@ def build_acc(*,
     bound (the +2 m/s^2 disturbance already consumes most of it), and the
     filter correctly halts infeasible.
     """
+    if horizon <= 0.0:  # the rate law's gain divides by exp(-c1 T / m) - 1
+        raise ConfigurationError(f"horizon must be > 0, got {horizon}")
     if d_true is None:
-        d_true = _constant_disturbance(2.0)
+        d_true = constant_disturbance(2.0)
         bounds = bounds or DisturbanceBounds(k0=2.0, k1=0.0)
     elif bounds is None:
         raise ConfigurationError("custom d_true requires explicit DisturbanceBounds")
@@ -152,8 +155,8 @@ def build_acc(*,
                            grad_u=lambda x, u: (-2.0 * u[0],),
                            label="h_u")
 
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
+    x0 = _as_vector(x0, 3, "initial_x")
+    u0 = _as_vector(u0, 1, "initial_u")
     # Start the observer with a zero estimate: r(0) = -beta q(x0).
     ld = ell_mat.T.copy()
     r0 = -beta * (ld @ x0)
@@ -213,7 +216,7 @@ def build_bicycle(*,
     The top constraint b2dot + gamma2(b2) >= 0 reuses gamma2.
     """
     L = wheelbase
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _as_vector(x0, 4, "initial_x")
     if speed <= 0.0:
         raise ConfigurationError(f"speed must be > 0, got {speed}")
 
@@ -373,8 +376,8 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
         model=model,
         law=ZeroRate(),
         obs_cfg=obs_cfg,
-        initial=AugmentedState(np.asarray(x0, dtype=float),
-                               np.asarray(u0, dtype=float), np.zeros(1)),
+        initial=AugmentedState(_as_vector(x0, 1, "initial_x"),
+                               _as_vector(u0, 1, "initial_u"), np.zeros(1)),
         domain=domain,
         barriers=(h_x, h_u),
         designated_mode="do_icbf",

@@ -32,8 +32,8 @@ import numpy as np
 from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .errors import BlowupError, ConfigurationError, ContractViolationError
 from .filter import build_constraints, solve_1d, solve_multi
-from .model import Array, AugmentedState, SystemModel
-from .observer import ObserverConfig, disturbance_estimate, error_envelope
+from .model import Array, AugmentedState, SystemModel, _as_vector
+from .observer import ObserverConfig, ObserverState, disturbance_estimate, error_envelope
 
 FILTER_MODES = ("off", "icbf", "do_icbf", "high_order")
 
@@ -86,6 +86,8 @@ class Scenario:
     fast_loop: bool = False
 
     def __post_init__(self):
+        for name, size in (("x", self.model.n), ("u", self.model.m), ("r", self.model.p)):
+            _as_vector(getattr(self.initial, name), size, f"initial.{name}")
         labels = self.value_labels
         repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
         if repeated:
@@ -95,7 +97,6 @@ class Scenario:
         """The start point must lie in every protected set (filters only keep
         you inside a set you start in)."""
         x0, u0, r0 = self.initial.x, self.initial.u, self.initial.r
-        from .observer import ObserverState
         d_hat0 = disturbance_estimate(self.obs_cfg, ObserverState(r0), x0)
         phi0 = np.zeros(self.model.m)
         _, values, _ = build_constraints(
@@ -122,7 +123,9 @@ class Scenario:
 
 
 class TrajectoryLog:
-    """Time-indexed record of one run; column layout is fixed by the header."""
+    """Time-indexed record of one run; column layout is fixed by the header.
+    `fold` holds what run_closed_loop folds over every step it decides,
+    logged or not, keyed as summarize reports it."""
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
         n, m, p = scenario.model.n, scenario.model.m, scenario.model.p
@@ -141,30 +144,23 @@ class TrajectoryLog:
         self._index = {name: i for i, name in enumerate(self.header)}
         self.rows: list = []
         self.halt_reason = "completed"
+        self.halt_message = ""
         self.scenario_name = scenario.name
         self.filter_mode = cfg.filter_mode
         self.dt = cfg.dt
-        self.log_stride = cfg.log_stride
-        self.value_labels = scenario.value_labels
-        self.obs_cfg = scenario.obs_cfg
-        self.left_domain = False
-
-    def append(self, row: Sequence[float]) -> None:
-        self.rows.append(tuple(row))
+        self.fold: dict = {}
 
     def column(self, name: str) -> np.ndarray:
         i = self._index[name]
         return np.array([r[i] for r in self.rows])
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=float)
-
     def write_csv(self, path) -> None:
         """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings."""
+        line = ",".join(["%.17g"] * len(self.header)) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
             for row in self.rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(line % row)
 
 
 def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float) -> Array:
@@ -185,47 +181,83 @@ def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float
 def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     """Integrate the augmented loop and log every log_stride-th step.
 
-    Halts early (with the reason recorded) on filter infeasibility or
-    numerical blow-up. Identical scenario + config always produce an
-    identical log: there is no randomness and no shared state between runs.
-    The loop owns the time grid, the domain-exit flag, logging and halts; a
-    step kernel supplies each step's decision and RK4 advance. Scenarios
-    flagged fast_loop take the float kernel, all others the vector kernel.
+    Halts early, with the reason recorded, on filter infeasibility, numerical
+    blow-up or any other ValueError/ArithmeticError raised during a step
+    ("error", with the message in halt_message). Identical scenario + config
+    always produce an identical log: there is no randomness and no shared
+    state between runs.
+
+    The loop owns the time grid, the domain-exit flag, the log rows, the
+    safety fold and the halts. A step kernel supplies each step: decide(t,
+    z, E(t)) returns the record (infeasible, phi, v_star, d_hat, values,
+    slacks, margin), where values follow Scenario.value_labels and every
+    field but infeasible and margin is a float sequence; advance(t, z, phi,
+    v_star) returns the next state with udot = phi + v_star held over the
+    step, or raises BlowupError. Scenarios flagged fast_loop take the float
+    kernel, all others the vector kernel.
     """
     law = copy.deepcopy(scenario.law)
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
-    z, decide, log_row, advance = make_kernel(scenario, law, cfg)
+    z, decide, advance = make_kernel(scenario, law, cfg)
     log = TrajectoryLog(scenario, cfg)
+    rows = log.rows
     box = scenario.domain
     lo = [float(v) for v in np.concatenate([box.x_low, box.u_low])]
     hi = [float(v) for v in np.concatenate([box.x_high, box.u_high])]
     xu = range(len(lo))  # z[:n + m] is (x, u)
+    nm = len(lo)
     left_domain = False
+    d_true = scenario.model.d_true
+    obs = scenario.obs_cfg
+    labels = scenario.value_labels
+    mins = [math.inf] * len(labels)
+    by_label = range(len(labels))
+    excess = -math.inf
+    v_sq = 0.0
+    e_d0 = t_last = math.nan
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     stride = cfg.log_stride
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        step = decide(t, z)
-        infeasible = step[0]
-        if not left_domain:
-            for i in xu:
-                if not lo[i] <= z[i] <= hi[i]:
-                    left_domain = True
-                    break
-        if k % stride == 0 or infeasible or k == n_steps:
-            log.append(log_row(t, z, step))
-        if infeasible:
-            log.halt_reason = "infeasible"
-            break
-        if k == n_steps:
-            break
-        z = advance(t, z, step)
-        if z is None:
-            log.halt_reason = "blowup"
-            break
-    log.left_domain = left_domain
+    try:
+        for k in range(n_steps + 1):
+            t = k * dt
+            envelope = error_envelope(obs, t)
+            infeasible, phi, v_star, d_hat, values, slacks, margin = decide(t, z, envelope)
+            t_last = t
+            d = d_true(t).tolist()
+            err = math.dist(d_hat, d)
+            if k == 0:
+                e_d0 = err
+            if err - envelope > excess:
+                excess = err - envelope
+            for v in v_star:
+                v_sq += v * v
+            for i in by_label:
+                v = values[i]
+                if v < mins[i]:
+                    mins[i] = v
+            if not left_domain:
+                for i in xu:
+                    if not lo[i] <= z[i] <= hi[i]:
+                        left_domain = True
+                        break
+            if k % stride == 0 or infeasible or k == n_steps:
+                rows.append((t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks, margin,
+                             1.0 if infeasible else 0.0))
+            if infeasible:
+                log.halt_reason = "infeasible"
+                break
+            if k == n_steps:
+                break
+            z = advance(t, z, phi, v_star)
+    except BlowupError:
+        log.halt_reason = "blowup"
+    except (ValueError, ArithmeticError) as exc:
+        log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"
+    log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
+                "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
+                "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.e_d0_bound)}
     return log
 
 
@@ -233,10 +265,8 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     """Step kernel on numpy vectors for any scenario: build_constraints,
     solve_multi and rk4_step.
 
-    Returns (z0, decide, log_row, advance). decide(t, z) gives the step
-    (infeasible, phi, v_star, d_hat, values, constraints, margin);
-    log_row(t, z, step) the log row; advance(t, z, step) the next state
-    with udot = phi + v_star held over the step, or None on blow-up.
+    Returns (z0, decide, advance) as run_closed_loop describes them; decide
+    leaves E(t) to build_constraints, which evaluates it itself.
     """
     model = scenario.model
     n, m, p = model.n, model.m, model.p
@@ -256,7 +286,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     barriers = scenario.barriers
     chain = scenario.chain
 
-    def decide(t, z):
+    def decide(t, z, envelope):
         x = z[:n]
         u = z[n:n + m]
         d_hat_obs = z[n + m:] + beta * q_fn(x)
@@ -264,21 +294,15 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         constraints, values, margin = build_constraints(
             model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d, t, obs,
             with_margins=margins)
+        infeasible, v_star = False, v_star_zero
         if filter_on:
             result = solve_multi(constraints)
-            return (result.infeasible, phi, result.v_star, d_hat_obs, values, constraints,
-                    margin)
-        return False, phi, v_star_zero, d_hat_obs, values, constraints, margin
+            infeasible, v_star = result.infeasible, result.v_star
+        return (infeasible, phi, v_star, d_hat_obs, [values[lab] for lab in value_labels],
+                [c.slack(v_star) for c in constraints], margin)
 
-    def log_row(t, z, step):
-        infeasible, phi, v_star, d_hat_obs, values, constraints, margin = step
-        return (t, *z[:n + m], *phi, *v_star, *d_true(t), *d_hat_obs,
-                *[values[lab] for lab in value_labels],
-                *[c.slack(v_star) for c in constraints],
-                margin, 1.0 if infeasible else 0.0)
-
-    def advance(t, z, step):
-        u_rate = step[1] + step[2]
+    def advance(t, z, phi, v_star):
+        u_rate = phi + v_star
 
         def rhs(tt: float, zz: Array) -> Array:
             xx = zz[:n]
@@ -291,12 +315,9 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             out[n + m:] = -beta * (gain_at(xx) @ (fx + lx @ d_hat))
             return out
 
-        try:
-            return rk4_step(rhs, t, z, dt)
-        except BlowupError:
-            return None
+        return rk4_step(rhs, t, z, dt)
 
-    return scenario.initial.as_vector(), decide, log_row, advance
+    return scenario.initial.as_vector(), decide, advance
 
 
 def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
@@ -305,9 +326,8 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     Checked preconditions: m = p = 1 and a constant observer gain L_d.
     Vouched for by fast_loop=True and not checked: a constant channel column
     ell, which is read once at x0, and the default potential q = L_d x. The
-    state is a list and the step is (infeasible, phi, v_star, d_hat, values,
-    cons, margin) with cons the (p, rhs) float pairs; otherwise as
-    _vector_kernel. Its sums and RK4 combination round differently from
+    state is a list; otherwise as _vector_kernel, except that decide takes
+    E(t) from the loop. Its sums and RK4 combination round differently from
     numpy's, so the two kernels agree to ~1e-12, not bit for bit, and tests
     pin each one separately.
     """
@@ -327,14 +347,12 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     filter_on = cfg.filter_mode != "off"
     margins = cfg.filter_mode in ("do_icbf", "high_order") or not filter_on
     dt = cfg.dt
-    plain = [(s.h, s.grad_x, s.grad_u, s.gamma.fn, s.label) for s in scenario.barriers]
+    plain = [(s.h, s.grad_x, s.grad_u, s.gamma.fn) for s in scenario.barriers]
     chain = scenario.chain
     if chain is not None:
         levels = [(s.h, s.grad_x, s.grad_u) for s in chain.levels]
         gammas = tuple(g.fn for g in chain.gammas)
         m_top = chain.m
-        chain_labels = chain.labels
-    value_labels = scenario.value_labels
     rng_n = range(n)
     rng_z = range(n + 2)
     idx_u = n
@@ -350,7 +368,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             row += g * ellc[i]
         return dot, row
 
-    def decide(t, z):
+    def decide(t, z, envelope):
         x = z[:n]
         u = z[idx_u:idx_r]
         q_val = 0.0
@@ -359,15 +377,16 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         d_hat_obs = z[idx_r] + beta * q_val
         d_hat = d_hat_obs if margins else 0.0
         phi = float(law.rate(t, x, u, dt)[0])
-        envelope = error_envelope(obs, t) if margins else 0.0
+        if not margins:
+            envelope = 0.0
         fx = F(x, u)
         drift = [fx[i] + ellc[i] * d_hat for i in rng_n]
         cons = []  # (p, rhs) of each constraint
-        values = {}
+        values = []  # plain barriers; the chain levels go in front below
         margin_max = 0.0
-        for h_fn, gx_fn, gu_fn, gamma, label in plain:
+        for h_fn, gx_fn, gu_fn, gamma in plain:
             h_val = float(h_fn(x, u))
-            values[label] = h_val
+            values.append(h_val)
             gx = gx_fn(x, u)
             p_val = float(gu_fn(x, u)[0])
             dot, row = lie(gx, drift)
@@ -383,7 +402,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
                 below_margin = abs(row) * envelope
                 bdot = dot + float(gu_fn(x, u)[0]) * phi
                 vals.append(bdot + gammas[j - 1](vals[j - 1]) - below_margin)
-            values.update(zip(chain_labels, vals))
+            values = vals + values
             _, gx_fn, gu_fn = levels[m_top]
             gx = gx_fn(x, u)
             p_val = float(gu_fn(x, u)[0])
@@ -392,19 +411,14 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             cons.append((p_val,
                          -(dot + p_val * phi + gammas[m_top - 1](vals[m_top])) + below_margin))
         v_star = solve_1d(cons) if filter_on else 0.0
-        if v_star is None:
-            return True, phi, 0.0, d_hat_obs, values, cons, margin_max
-        return False, phi, v_star, d_hat_obs, values, cons, margin_max
+        infeasible = v_star is None
+        if infeasible:
+            v_star = 0.0
+        return (infeasible, (phi,), (v_star,), (d_hat_obs,), values,
+                [p_val * v_star - rhs for p_val, rhs in cons], margin_max)
 
-    def log_row(t, z, step):
-        infeasible, phi, v_star, d_hat_obs, values, cons, margin = step
-        return (t, *z[:idx_r], phi, v_star, float(d_true(t)[0]), d_hat_obs,
-                *[values[lab] for lab in value_labels],
-                *[p_val * v_star - rhs for p_val, rhs in cons],
-                margin, 1.0 if infeasible else 0.0)
-
-    def advance(t, z, step):
-        u_rate = step[1] + step[2]
+    def advance(t, z, phi, v_star):
+        u_rate = phi[0] + v_star[0]
 
         def f_aug(tt, zz):
             xx = zz[:n]
@@ -433,44 +447,21 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             sixth = dt / 6.0
             z = [z[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in rng_z]
         except (OverflowError, ValueError):
-            return None
-        return z if all(map(math.isfinite, z)) else None
+            raise BlowupError(t) from None
+        if not all(map(math.isfinite, z)):
+            raise BlowupError(t)
+        return z
 
-    return [float(v) for v in scenario.initial.as_vector()], decide, log_row, advance
+    return [float(v) for v in scenario.initial.as_vector()], decide, advance
 
 
 def summarize(log: TrajectoryLog, scenario: Optional[Scenario] = None) -> dict:
-    """Post-hoc metrics: per-barrier minima, tracking, envelope slack, effort."""
+    """Metrics of a run: the loop's fold over every decided step, which does
+    not depend on log_stride, with the halt, the row count and tracking."""
     if not log.rows:
         raise ContractViolationError("cannot summarize an empty log")
-    arr = log.as_array()
-    idx = {name: i for i, name in enumerate(log.header)}
-    barrier_min = {lab: float(arr[:, idx[f"b_{lab}"]].min()) for lab in log.value_labels}
-
-    p = len([h for h in log.header if h.startswith("d") and h[1:].isdigit()])
-    d_cols = [idx[f"d{i}"] for i in range(p)]
-    dhat_cols = [idx[f"dhat{i}"] for i in range(p)]
-    err = np.linalg.norm(arr[:, dhat_cols] - arr[:, d_cols], axis=1)
-    envelope = np.array([error_envelope(log.obs_cfg, t) for t in arr[:, idx["t"]]])
-    envelope_violation = float((err - envelope).max())
-
-    m = len([h for h in log.header if h.startswith("vstar")])
-    v_cols = [idx[f"vstar{i}"] for i in range(m)]
-    v_sq = (arr[:, v_cols] ** 2).sum(axis=1)
-    effort = float(v_sq.sum() * log.dt * log.log_stride)
-
-    metrics = {
-        "barrier_min": barrier_min,
-        "envelope_violation_max": envelope_violation,
-        "correction_effort": effort,
-        "halt_reason": log.halt_reason,
-        "unsafe": bool(min(barrier_min.values()) < -1e-3) if barrier_min else False,
-        "left_domain_box": log.left_domain,
-        "steps_logged": len(log.rows),
-        "t_final": float(arr[-1, idx["t"]]),
-        "e_d0_true": float(err[0]),
-        "e_d0_bound": float(log.obs_cfg.e_d0_bound),
-    }
+    metrics = dict(log.fold, halt_reason=log.halt_reason, steps_logged=len(log.rows))
+    metrics["unsafe"] = any(v < -1e-3 for v in log.fold["barrier_min"].values())
     if scenario is not None and scenario.tracking_fn is not None:
         metrics["tracking"] = {scenario.tracking_name: float(scenario.tracking_fn(log))}
     return metrics

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from do_icbf import cli
-from do_icbf.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_INFEASIBLE,
+from do_icbf.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, main)
 
 SCHEMA = json.loads(
@@ -50,14 +52,19 @@ def test_run_unfiltered_flags_unsafe(tmp_path):
     assert summary["metrics"]["barrier_min"]["h_x"] < 0.0
 
 
-def test_run_emits_plot_script(tmp_path):
-    rc = run_cli("run", "--scenario", "bicycle", "--t-end", "1.0",
+@pytest.mark.parametrize("scenario", ["acc", "bicycle", "example1"])
+def test_run_emits_plot_script(tmp_path, scenario):
+    rc = run_cli("run", "--scenario", scenario, "--t-end", "1.0",
                  "--dt", "1e-2", "--out", str(tmp_path), "--emit-plot")
     assert rc == EXIT_OK
     script = (tmp_path / "plot.gp").read_text()
     assert "trajectory.csv" in script
     assert "multiplot" in script
-    assert "circle at 0,0" in script
+    marker = {"acc": "headway barrier", "bicycle": "circle at 0,0", "example1": "title 'h_u'"}
+    assert marker[scenario] in script
+    ncols = len((tmp_path / "trajectory.csv").read_text().splitlines()[0].split(","))
+    for a, b in re.findall(r"using (\d+):(\d+)", script):
+        assert 1 <= int(a) <= ncols and 1 <= int(b) <= ncols
 
 
 def test_run_csv_is_byte_identical_across_reruns(tmp_path):
@@ -301,3 +308,36 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
     assert "overrides.disturbance" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,overrides,message", [
+    ("acc", {"initial_x": [1, 2]}, "initial_x: expected a vector of length 3"),
+    ("acc", {"initial_u": [0, 0]}, "initial_u: expected a vector of length 1"),
+    ("bicycle", {"initial_x": [15, 10, 1.5]}, "initial_x: expected a vector of length 4"),
+], ids=["acc-initial_x", "acc-initial_u", "bicycle-initial_x"])
+def test_wrong_length_initial_state_is_a_config_error(tmp_path, capsys, scenario, overrides,
+                                                      message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "t_end": 0.1,
+                               "overrides": overrides, "out": str(tmp_path / "out")}))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mid_run_error_halts_with_partial_output(tmp_path, capsys):
+    # a braking bicycle reaches zero speed at t = 5 s, where the Stanley law
+    # raises: the run halts with reason "error" and still writes its files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "bicycle", "t_end": 8.0,
+                               "overrides": {"accel": -0.1}, "out": str(tmp_path / "out")}))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("do-icbf: error: high_order: t=5")
+    assert "speed must be > 0" in err
+    summary = validate_summary(tmp_path / "out" / "summary.json")
+    metrics = summary["metrics"]
+    assert metrics["halt_reason"] == "error"
+    assert metrics["t_final"] == pytest.approx(5.0)
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + metrics["steps_logged"]

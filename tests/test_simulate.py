@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from do_icbf import (AugmentedState, BlowupError,
-                     ConfigurationError, DisturbanceBounds, DomainBox,
+                     ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_example1,
                      rk4_step, run_closed_loop, sinusoid_disturbance,
@@ -111,6 +111,29 @@ def test_log_row_count_invariant(acc_scenario):
         assert np.all(np.diff(t) > 0)
 
 
+@pytest.mark.parametrize("name,mode", [("acc", "off"), ("acc", "do_icbf"),
+                                       ("bicycle", "high_order")])
+def test_metrics_do_not_depend_on_log_stride(name, mode, acc_scenario, bicycle_scenario):
+    # the loop folds every step into the metrics, logged or not
+    scenario = acc_scenario if name == "acc" else bicycle_scenario
+    results = []
+    for stride in (1, 7, 1000):
+        log = run_closed_loop(scenario, SimConfig(dt=1e-3, t_end=3.0, log_stride=stride,
+                                                  filter_mode=mode))
+        metrics = summarize(log, scenario)
+        del metrics["steps_logged"]
+        results.append(metrics)
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def test_initial_state_must_match_model_dimensions():
+    sc = _static_scenario()
+    for x, u, r in (([0.5, 0.0], [0.0], [0.0]), ([0.5], [], [0.0]), ([0.5], [0.0], [0.0, 0.0])):
+        with pytest.raises(ContractViolationError, match="initial"):
+            dataclasses.replace(sc, initial=AugmentedState(x, u, r))
+
+
 def test_determinism_bit_identical(acc_scenario, tmp_path):
     cfg = SimConfig(dt=1e-3, t_end=1.0, filter_mode="do_icbf")
     a = run_closed_loop(acc_scenario, cfg)
@@ -130,8 +153,8 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
         generic = run_closed_loop(dataclasses.replace(scenario, fast_loop=False), cfg)
         assert fast.header == generic.header
         assert fast.halt_reason == generic.halt_reason
-        diff = np.abs(fast.as_array() - generic.as_array())
-        scale = np.abs(generic.as_array()).max()
+        diff = np.abs(np.asarray(fast.rows) - np.asarray(generic.rows))
+        scale = np.abs(np.asarray(generic.rows)).max()
         assert diff.max() <= 1e-12 * max(1.0, scale)
 
 
@@ -165,6 +188,10 @@ def test_build_acc_checks_and_values(acc_scenario):
     # constructor rejects starts outside the safe set
     with pytest.raises(ConfigurationError):
         build_acc(x0=(0.0, 20.0, 20.0))
+    # the predictive rate law divides by exp(-c1 T / m) - 1, so T = 0 would
+    # fail at the first step
+    with pytest.raises(ConfigurationError, match="horizon"):
+        build_acc(horizon=0.0)
 
 
 def test_build_bicycle_checks_and_values(bicycle_scenario):
