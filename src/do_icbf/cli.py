@@ -68,12 +68,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+_INITIAL = (("initial_x", "x0"), ("initial_u", "u0"))
+
+
 def _build_from_config(cfg: dict):
     name = cfg["scenario"]
     if name not in BUILDERS:
         raise ConfigurationError(f"unknown scenario {name!r}; available: {sorted(BUILDERS)}")
     overrides = dict(cfg.get("overrides", {}))
-    accepted = set(inspect.signature(BUILDERS[name]).parameters) | {"initial_x", "initial_u"}
+    params = inspect.signature(BUILDERS[name]).parameters
+    # initial_x / initial_u rename x0 / u0, offered where the builder has them
+    accepted = set(params) | {field for field, param in _INITIAL if param in params}
     if name == "acc":
         accepted.add("disturbance")
     unknown = sorted(set(overrides) - accepted)
@@ -97,7 +102,7 @@ def _build_from_config(cfg: dict):
             overrides["bounds"] = DisturbanceBounds(k0=abs(amp), k1=abs(amp * omega))
         else:
             raise ConfigurationError(f"unknown disturbance kind {kind!r}")
-    for field_name, param in (("initial_x", "x0"), ("initial_u", "u0")):
+    for field_name, param in _INITIAL:
         if field_name in overrides:  # the builder checks the length
             overrides[param] = overrides.pop(field_name)
     return build_scenario(name, **overrides)

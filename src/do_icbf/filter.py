@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -181,9 +182,8 @@ def _channel_margin(gx: Array, lx: Array, envelope: float) -> float:
 def build_constraints(model: SystemModel,
                       barriers: Sequence[BarrierSpec],
                       chain: Optional[BarrierChain],
-                      phi: Array, x: Array, u: Array, d_hat: Array, t: float,
-                      obs_cfg: Optional[ObserverConfig],
-                      with_margins: bool = True) -> tuple:
+                      phi: Array, x: Array, u: Array, d_hat: Array,
+                      envelope: float) -> tuple:
     """Assemble the per-barrier constraints plus diagnostics.
 
     Plain barriers contribute p^T v >= deficit + margin(grad h), with
@@ -194,14 +194,13 @@ def build_constraints(model: SystemModel,
     fail). A chain b_0 = h, b_i = bdot_{i-1} + gamma_i(b_{i-1}) - margin
     contributes only its top-level constraint, with the margin evaluated on
     the gradient of the level below (the level whose invariance the top level
-    certifies). Margins are zero without an observer config or with
-    with_margins=False. Returns (constraints, barrier_values, margin_max).
+    certifies). Every margin is ||dh/dx ell|| times the observer error
+    envelope E(t) the caller passes in; envelope = 0.0 means no margins.
+    Returns (constraints, barrier_values, margin_max).
     """
     fx = np.asarray(model.F(x, u), dtype=float)
     lx = np.asarray(model.ell(x), dtype=float)
     drift = fx + lx @ d_hat
-    envelope = (error_envelope(obs_cfg, t)
-                if (with_margins and obs_cfg is not None) else 0.0)
     constraints = []
     values: dict = {}
     margin_max = 0.0
@@ -275,7 +274,12 @@ def _grid_axes(box: DomainBox, resolution) -> list:
 
 
 def _input_free(spec: BarrierSpec, x: Array, u: Array, eps_p: float) -> bool:
-    return float(np.linalg.norm(np.asarray(spec.grad_u(x, u), dtype=float))) <= eps_p
+    """||grad_u|| <= eps_p in plain floats, for a scalar, tuple or 1-D grad_u."""
+    g = spec.grad_u(x, u)
+    try:
+        return math.hypot(*g) <= eps_p
+    except TypeError:  # a scalar has no items
+        return abs(float(g)) <= eps_p
 
 
 def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChain],
@@ -296,6 +300,10 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
     the joint barriers of practical scenarios do fail the universal form. For
     chains the report also carries the empirical relative degree: the
     smallest level whose input gradient is nonzero somewhere on the grid.
+
+    Work is shared, never the result: each point evaluates an input gradient
+    at most once, E(t) is evaluated once per time, and an input-free point
+    assembles its constraint once per distinct envelope value.
     """
     if times is None:
         if obs_cfg is not None:
@@ -303,7 +311,8 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
         else:
             times = [0.0]
     axes = _grid_axes(box, resolution)
-    nx = box.x_low.shape[0]
+    envelopes = [error_envelope(obs_cfg, t) if obs_cfg is not None else 0.0 for t in times]
+    distinct = list(dict.fromkeys(envelopes))
     d_hat = np.zeros(model.p)
     counterexamples: list = []
 
@@ -311,25 +320,36 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
         """Record the one constraint of specs / chain at each time it needs
         help while (x, u) lies inside its safe set."""
         phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
-        for t in times:
-            (c,), values, _ = build_constraints(model, specs, chain, phi_val, x, u, d_hat, t,
-                                                obs_cfg)
+        failing = {}
+        for envelope in distinct:
+            (c,), values, _ = build_constraints(model, specs, chain, phi_val, x, u, d_hat,
+                                                envelope)
             if not min(values.values()) < 0.0 and c.deficit > -c.margin:
+                failing[envelope] = c
+        for t, envelope in zip(times, envelopes):
+            c = failing.get(envelope)
+            if c is not None:
                 counterexamples.append({
                     "barrier": c.label, "t": t,
                     "x": [float(v) for v in x], "u": [float(v) for v in u],
                     "w": c.deficit, "margin": -c.margin,
                 })
 
-    points = ((np.asarray(pt[:nx]), np.asarray(pt[nx:])) for pt in itertools.product(*axes))
+    # Streamed in itertools.product order; only the input grid is held, and
+    # each x array serves all of it.
+    nx = box.x_low.shape[0]
+    us = [np.array(ut) for ut in itertools.product(*axes[nx:])]
+    points = ((x, u) for x in map(np.array, itertools.product(*axes[:nx])) for u in us)
     if isinstance(target, BarrierChain):
         chain = target
-        seen_nonzero = [False] * (chain.m + 1)
+        top = chain.levels[chain.m]
+        below = tuple(enumerate(chain.levels[:chain.m]))
+        seen_nonzero = [False] * chain.m  # levels below the top
         for x, u in points:
-            for i, lv in enumerate(chain.levels):
+            for i, lv in below:
                 if not seen_nonzero[i] and not _input_free(lv, x, u, eps_p):
                     seen_nonzero[i] = True
-            if _input_free(chain.levels[chain.m], x, u, eps_p):
+            if _input_free(top, x, u, eps_p):
                 check_point((), chain, x, u)
         degree = next((i for i, flag in enumerate(seen_nonzero) if flag), chain.m)
     else:

@@ -270,7 +270,10 @@ def build_bicycle(*,
         radial = x[0] * c + x[1] * s
         cross = x[1] * c - x[0] * s
         k = 2.0 * v * v * tan_d / L
-        g1 = b1_grad_x(x, u)
+        v2 = 2.0 * v
+        # b1_grad_x from the same c, s, radial and cross (the same operations)
+        g1 = (v2 * c + 2.0 * gamma1 * x[0], v2 * s + 2.0 * gamma1 * x[1],
+              v2 * cross, 2.0 * radial)
         return (
             2.0 * gamma1 * v * c - k * s + 2.0 * accel * c + gamma2 * g1[0],
             2.0 * gamma1 * v * s + k * c + 2.0 * accel * s + gamma2 * g1[1],

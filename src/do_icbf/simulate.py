@@ -100,8 +100,8 @@ class Scenario:
         d_hat0 = disturbance_estimate(self.obs_cfg, ObserverState(r0), x0)
         phi0 = np.zeros(self.model.m)
         _, values, _ = build_constraints(
-            self.model, self.barriers, self.chain, phi0, x0, u0, d_hat0, 0.0,
-            self.obs_cfg, with_margins=True)
+            self.model, self.barriers, self.chain, phi0, x0, u0, d_hat0,
+            error_envelope(self.obs_cfg, 0.0))
         bad = {k: v for k, v in values.items() if v < 0.0}
         if bad:
             raise ConfigurationError(
@@ -179,7 +179,8 @@ def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float
 
 
 def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
-    """Integrate the augmented loop and log every log_stride-th step.
+    """Integrate the augmented loop and log every log_stride-th step, the
+    last decided step and any infeasible one.
 
     Halts early, with the reason recorded, on filter infeasibility, numerical
     blow-up or any other ValueError/ArithmeticError raised during a step
@@ -218,14 +219,16 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     stride = cfg.log_stride
+    logged = True  # whether the last decided step has its row
 
     try:
         for k in range(n_steps + 1):
             t = k * dt
             envelope = error_envelope(obs, t)
+            d_now = d_true(t).tolist()
             infeasible, phi, v_star, d_hat, values, slacks, margin = decide(t, z, envelope)
-            t_last = t
-            d = d_true(t).tolist()
+            # Step k is decided; its row's fields stay in hand until step k + 1 is.
+            d, z_k, t_last, logged = d_now, z, t, False
             err = math.dist(d_hat, d)
             if k == 0:
                 e_d0 = err
@@ -245,6 +248,7 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
             if k % stride == 0 or infeasible or k == n_steps:
                 rows.append((t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks, margin,
                              1.0 if infeasible else 0.0))
+                logged = True
             if infeasible:
                 log.halt_reason = "infeasible"
                 break
@@ -255,6 +259,9 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
         log.halt_reason = "blowup"
     except (ValueError, ArithmeticError) as exc:
         log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"
+    if not logged:  # a blowup or error halt: the log ends at the last decided step
+        rows.append((t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks, margin,
+                     0.0))
     log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
                 "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
                 "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.e_d0_bound)}
@@ -265,8 +272,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     """Step kernel on numpy vectors for any scenario: build_constraints,
     solve_multi and rk4_step.
 
-    Returns (z0, decide, advance) as run_closed_loop describes them; decide
-    leaves E(t) to build_constraints, which evaluates it itself.
+    Returns (z0, decide, advance) as run_closed_loop describes them.
     """
     model = scenario.model
     n, m, p = model.n, model.m, model.p
@@ -292,8 +298,8 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         d_hat_obs = z[n + m:] + beta * q_fn(x)
         phi = np.asarray(law.rate(t, x, u, dt), dtype=float)
         constraints, values, margin = build_constraints(
-            model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d, t, obs,
-            with_margins=margins)
+            model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d,
+            envelope if margins else 0.0)
         infeasible, v_star = False, v_star_zero
         if filter_on:
             result = solve_multi(constraints)

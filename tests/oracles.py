@@ -1,10 +1,20 @@
 """Independent oracles for the least-norm QP: interval arithmetic for scalar
 problems, LP feasibility + grid refinement + projection polish for vector
 problems, and a classical iterative active-set method. None of them share
-code with the solver under test."""
+code with the solver under test.
+
+reference_check_validity is the plain per-point grid scan of the validity
+checker: every time and every point evaluated on its own, nothing shared."""
+
+import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
+                     ValidityReport, build_constraints, error_envelope)
+from do_icbf.barriers import EPS_P
+from do_icbf.filter import _grid_axes
 
 EPS = 1e-8
 
@@ -189,3 +199,64 @@ def active_set_oracle(P, r, max_iter=500):
         if blocker is not None:
             working.append(blocker)
     raise RuntimeError("active-set oracle failed to converge")
+
+
+def _input_free(spec, x, u, eps_p):
+    return float(np.linalg.norm(np.asarray(spec.grad_u(x, u), dtype=float))) <= eps_p
+
+
+def reference_check_validity(target, model, phi, box, resolution, obs_cfg=None, times=None,
+                             eps_p=EPS_P):
+    """check_validity as a plain scan: each point evaluates the input
+    gradients with np.linalg.norm, and each time evaluates E(t), phi's
+    constraint and the safe-set test on its own."""
+    if times is None:
+        if obs_cfg is not None:
+            times = [0.0, 5.0 / obs_cfg.lam, 100.0 / obs_cfg.lam]
+        else:
+            times = [0.0]
+    axes = _grid_axes(box, resolution)
+    nx = box.x_low.shape[0]
+    d_hat = np.zeros(model.p)
+    counterexamples: list = []
+
+    def check_point(specs, chain, x, u):
+        phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
+        for t in times:
+            envelope = error_envelope(obs_cfg, t) if obs_cfg is not None else 0.0
+            (c,), values, _ = build_constraints(model, specs, chain, phi_val, x, u, d_hat,
+                                                envelope)
+            if not min(values.values()) < 0.0 and c.deficit > -c.margin:
+                counterexamples.append({
+                    "barrier": c.label, "t": t,
+                    "x": [float(v) for v in x], "u": [float(v) for v in u],
+                    "w": c.deficit, "margin": -c.margin,
+                })
+
+    points = ((np.asarray(pt[:nx]), np.asarray(pt[nx:])) for pt in itertools.product(*axes))
+    if isinstance(target, BarrierChain):
+        chain = target
+        seen_nonzero = [False] * (chain.m + 1)
+        for x, u in points:
+            for i, lv in enumerate(chain.levels):
+                if not seen_nonzero[i] and not _input_free(lv, x, u, eps_p):
+                    seen_nonzero[i] = True
+            if _input_free(chain.levels[chain.m], x, u, eps_p):
+                check_point((), chain, x, u)
+        degree = next((i for i, flag in enumerate(seen_nonzero) if flag), chain.m)
+    else:
+        specs = [target] if isinstance(target, BarrierSpec) else list(target)
+        if not specs:
+            raise ConfigurationError("no barriers to check")
+        has_authority = False
+        for x, u in points:
+            free = [spec for spec in specs if _input_free(spec, x, u, eps_p)]
+            if len(free) < len(specs):
+                has_authority = True
+            if free and not min(spec.h(x, u) for spec in specs) < 0.0:
+                for spec in free:
+                    check_point((spec,), None, x, u)
+        degree = 0 if has_authority else 1
+
+    return ValidityReport(valid=not counterexamples, relative_degree=degree,
+                          counterexamples=counterexamples)

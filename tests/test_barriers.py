@@ -14,7 +14,7 @@ GAM = ClassKFunction.linear(1.0)
 
 def _constraint(model, spec, phi, x, u, d_hat):
     """The single constraint build_constraints assembles for a plain barrier."""
-    (c,), _, _ = build_constraints(model, (spec,), None, phi, x, u, d_hat, 0.0, None)
+    (c,), _, _ = build_constraints(model, (spec,), None, phi, x, u, d_hat, 0.0)
     return c
 
 
@@ -39,7 +39,7 @@ def test_input_gradient_bicycle_top_level_matches_fd(bicycle_scenario):
     x = sc.initial.x
     u = sc.initial.u
     (c,), _, _ = build_constraints(sc.model, (), sc.chain, np.zeros(1), x, u, np.zeros(1),
-                                   0.0, None)
+                                   0.0)
     assert c.label == "b2"
     fd = finite_diff_gradient(lambda uv: float(b2.h(x, uv)), u, 1e-6)
     assert abs(float(c.p_row[0])) > 0.1
@@ -95,7 +95,7 @@ def test_chain_value_bicycle_initial_point(bicycle_scenario):
     x = np.array([15.0, 10.0, math.pi / 2, 0.5])
     u = np.zeros(1)
     zero = np.zeros(1)
-    _, values, _ = build_constraints(model, (), chain, np.zeros(1), x, u, zero, 0.0, None)
+    _, values, _ = build_constraints(model, (), chain, np.zeros(1), x, u, zero, 0.0)
     assert values["b0"] == pytest.approx(324.0, abs=1e-12)
     assert values["b1"] == pytest.approx(74.8, abs=1e-10)  # 0 + 10 + 0.2 * 324
 
@@ -109,7 +109,7 @@ def test_chain_value_fixed_point_is_zero():
                        grad_x=lambda x, u: (0.0, 1.0), grad_u=lambda x, u: (1.0,))
     chain = BarrierChain(levels=(lvl0, lvl1), gammas=(GAM,))
     _, values, _ = build_constraints(model, (), chain, np.zeros(1), np.zeros(2), np.zeros(1),
-                                     np.zeros(1), 0.0, None)
+                                     np.zeros(1), 0.0)
     assert values["b1"] == 0.0
 
 
@@ -118,7 +118,7 @@ def test_chain_value_is_pure(bicycle_scenario):
     model = bicycle_scenario.model
     x = np.array([4.0, -3.0, 1.1, 0.5])
     u = np.array([0.2])
-    args = (model, (), chain, np.array([0.3]), x, u, np.zeros(1), 1.5, None)
+    args = (model, (), chain, np.array([0.3]), x, u, np.zeros(1), 0.0)
     first, first_values, _ = build_constraints(*args)
     second, second_values, _ = build_constraints(*args)
     assert first_values == second_values

@@ -310,6 +310,20 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_initial_u_is_offered_only_to_scenarios_with_a_start_input(tmp_path, capsys):
+    # bicycle derives its start steering from the Stanley law, so it takes no u0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "bicycle", "t_end": 0.1,
+                               "overrides": {"initial_u": [0.1]},
+                               "out": str(tmp_path / "out")}))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown override 'initial_u' for scenario 'bicycle'" in err
+    assert "accepted:" in err and "initial_x" in err and "gamma2" in err
+    assert "u0" not in err.split("accepted:")[1]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scenario,overrides,message", [
     ("acc", {"initial_x": [1, 2]}, "initial_x: expected a vector of length 3"),
     ("acc", {"initial_u": [0, 0]}, "initial_u: expected a vector of length 1"),

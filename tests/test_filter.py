@@ -3,8 +3,8 @@ import pytest
 
 from do_icbf import (ConfigurationError, FilterConstraint, ObserverState,
                      SimConfig, SplitMix64, build_constraints,
-                     disturbance_estimate, run_closed_loop, solve_multi,
-                     solve_single)
+                     disturbance_estimate, error_envelope, run_closed_loop,
+                     solve_multi, solve_single)
 
 from oracles import (active_set_oracle, grid_polish_oracle,
                      interval_oracle_1d, random_instances)
@@ -144,7 +144,7 @@ def _safe_rate(sc, phi, r, x, u, t):
     """phi + v* from the observer estimate, as the vector kernel computes it."""
     d_hat = disturbance_estimate(sc.obs_cfg, ObserverState(r), x)
     constraints, _, _ = build_constraints(sc.model, sc.barriers, sc.chain, phi, x, u,
-                                          d_hat, t, sc.obs_cfg)
+                                          d_hat, error_envelope(sc.obs_cfg, t))
     result = solve_multi(constraints)
     return phi + result.v_star, result, constraints
 

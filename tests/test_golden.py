@@ -9,6 +9,7 @@ unchanged. The float kernel (fast_loop=True) and the vector kernel
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ VALIDITY_SHA256 = {
     "example1": ("65dc2452fe1a58ffa406ef2dc9fb4fcd330cb302cdc8b9afeff436ad27d42844", EXIT_INVALID),
 }
 
+# The benchmark's fine grids (benchmark/workloads.py) and an explicit times
+# list with a repeated time: (check block, sha256, exit code, counterexamples).
+CHECK_SHA256 = {
+    "acc-fine": ({"resolution": [9, 21, 21, 21]},
+                 "ecc2ec6d2760b264fabbe8eaa3ba23f17438c065df3557acb92f35bbfb1bdf17", EXIT_OK, 0),
+    "bicycle-fine": ({"resolution": [9, 9, 9, 9, 9]},
+                     "86c08e18d4d0b33b6c4c778e404dba36af8de16d10175d2afd5b593266859c5b",
+                     EXIT_INVALID, 45),
+    "example1-times": ({"resolution": 17, "times": [0.0, 2.0, 0.0]},
+                       "7874279d4261126971bc425b4d623a7ea365f2fba4e3b73be49d79825f3f5780",
+                       EXIT_INVALID, 384),
+}
+
 BUILDERS = {"acc": build_acc, "bicycle": build_bicycle}
 
 
@@ -58,3 +72,18 @@ def test_validity_json_matches_golden_hash(name, tmp_path, capsys):
     digest, exit_code = VALIDITY_SHA256[name]
     assert main(["check", "--scenario", name, "--out", str(tmp_path)]) == exit_code
     assert hashlib.sha256((tmp_path / "validity.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_SHA256))
+def test_configured_check_matches_golden_hash(case, tmp_path, capsys):
+    check, digest, exit_code, count = CHECK_SHA256[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": case.split("-")[0], "check": check,
+                               "out": str(tmp_path / "out")}))
+    assert main(["check", "--config", str(cfg)]) == exit_code
+    data = (tmp_path / "out" / "validity.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    report = json.loads(data)
+    assert len(report["counterexamples"]) == count
+    if case == "bicycle-fine":
+        assert sorted({c["t"] for c in report["counterexamples"]}) == [0.0, 10.0, 200.0]

@@ -120,7 +120,8 @@ def _margin(cfg, grad, model, x, t):
     spec = BarrierSpec(h=lambda x, u: 1.0, gamma=ClassKFunction.linear(1.0),
                        grad_x=lambda x, u: grad, grad_u=lambda x, u: (0.0,))
     (c,), _, margin_max = build_constraints(model, (spec,), None, np.zeros(1), x,
-                                            np.zeros(1), np.zeros(model.p), t, cfg)
+                                            np.zeros(1), np.zeros(model.p),
+                                            error_envelope(cfg, t))
     assert margin_max == c.margin
     return c.margin
 

@@ -7,7 +7,7 @@ import pytest
 from do_icbf import (AugmentedState, BlowupError,
                      ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
-                     SystemModel, build_acc, build_example1,
+                     SystemModel, build_acc, build_example1, build_scenario,
                      rk4_step, run_closed_loop, sinusoid_disturbance,
                      summarize)
 from do_icbf.control_laws import ZeroRate
@@ -125,6 +125,23 @@ def test_metrics_do_not_depend_on_log_stride(name, mode, acc_scenario, bicycle_s
         results.append(metrics)
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+@pytest.mark.parametrize("name,overrides,cfg,halt", [
+    ("acc", {}, dict(dt=2.0, t_end=2000.0, filter_mode="off"), "blowup"),
+    ("bicycle", {"accel": -0.1}, dict(dt=1e-3, t_end=8.0, filter_mode="high_order"), "error"),
+], ids=["acc-blowup", "bicycle-error"])
+def test_halt_row_does_not_depend_on_log_stride(name, overrides, cfg, halt):
+    # the log ends at the last decided step whether or not it is on the stride
+    scenario = build_scenario(name, **overrides)
+    ends = []
+    for stride in (1, 3):
+        log = run_closed_loop(scenario, SimConfig(log_stride=stride, **cfg))
+        assert log.halt_reason == halt
+        metrics = summarize(log, scenario)
+        assert log.rows[-1][0] == metrics["t_final"]
+        ends.append((np.asarray(log.rows[-1]).tobytes(), metrics["tracking"]))
+    assert ends[1] == ends[0]
 
 
 def test_initial_state_must_match_model_dimensions():
