@@ -7,19 +7,16 @@ simulator, and two vehicle benchmarks plus a CLI.
 """
 
 from .barriers import BarrierChain, BarrierSpec, DomainBox
-from .control_laws import (ACCPredictiveLaw, LinePath, PILaw, StanleyLaw,
-                           WaypointPath, acc_predicted_output, acc_rate,
-                           pi_rate, stanley_rate, stanley_steer, wrap_angle)
+from .control_laws import (ACCPredictiveLaw, LinePath, StanleyLaw,
+                           acc_predicted_output, acc_rate, stanley_rate,
+                           stanley_steer, wrap_angle)
 from .errors import (BlowupError, ConfigurationError, ContractViolationError,
                      NumericalDomainError)
 from .filter import (FilterConstraint, FilterResult, ValidityReport,
-                     build_constraints, check_validity, solve_multi,
-                     solve_single)
+                     build_constraints, check_validity, solve_multi)
 from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
-                    SystemModel, eval_dynamics, finite_diff_gradient)
-from .observer import (ObserverConfig, ObserverState, check_gain_condition,
-                       disturbance_estimate, error_envelope, observer_rhs,
-                       projection_gain)
+                    SystemModel, finite_diff_gradient)
+from .observer import ObserverConfig, check_gain_condition, error_envelope
 from .rng import SplitMix64
 from .scenarios import (build_acc, build_bicycle, build_example1,
                         build_scenario, sinusoid_disturbance)

@@ -77,8 +77,10 @@ def _build_from_config(cfg: dict):
         raise ConfigurationError(f"unknown scenario {name!r}; available: {sorted(BUILDERS)}")
     overrides = dict(cfg.get("overrides", {}))
     params = inspect.signature(BUILDERS[name]).parameters
-    # initial_x / initial_u rename x0 / u0, offered where the builder has them
-    accepted = set(params) | {field for field, param in _INITIAL if param in params}
+    # JSON reaches the numeric keywords; initial_x / initial_u rename x0 / u0,
+    # offered where the builder has them
+    accepted = {key for key, param in params.items() if isinstance(param.default, (int, float))}
+    accepted |= {field for field, param in _INITIAL if param in params}
     if name == "acc":
         accepted.add("disturbance")
     unknown = sorted(set(overrides) - accepted)

@@ -1,21 +1,20 @@
 """Nominal dynamic control laws udot = phi(x, u) that the safety filter corrects.
 
-Three families: a PI law differentiated into rate form, the cruise-control
-predictive law (Newton-Raphson tracking of a linearized speed prediction),
-and the Stanley lateral law for path tracking, differentiated numerically at
-the simulation step.
+Two families: the cruise-control predictive law (Newton-Raphson tracking of a
+linearized speed prediction) and the Stanley lateral law for path tracking,
+differentiated numerically at the simulation step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import Array, SystemModel
+from .model import Array
 
 
 def wrap_angle(a: float) -> float:
@@ -24,43 +23,6 @@ def wrap_angle(a: float) -> float:
     if w <= -math.pi:
         w += math.tau
     return w
-
-
-# ---------------------------------------------------------------------------
-# PI rate law
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PILaw:
-    """PI tracking of an output y = n(x) against a reference signal.
-
-    Differentiating u = Kp (y - y_ref) + KI int(y - y_ref) gives the rate form
-    phi = Kp (dn/dx F(x,u) - y_ref_dot) + KI (y - y_ref).
-    """
-
-    Kp: Array
-    KI: Array
-    n_fn: Callable[[Array], Array]
-    n_jac: Callable[[Array], Array]
-    y_ref: Callable[[float], Array]
-    y_ref_dot: Callable[[float], Array]
-
-    def __post_init__(self):
-        object.__setattr__(self, "Kp", np.atleast_2d(np.asarray(self.Kp, dtype=float)))
-        object.__setattr__(self, "KI", np.atleast_2d(np.asarray(self.KI, dtype=float)))
-        if self.Kp.shape != self.KI.shape:
-            raise ContractViolationError(
-                f"gain shapes differ: Kp {self.Kp.shape} vs KI {self.KI.shape}"
-            )
-
-
-def pi_rate(law: PILaw, model: SystemModel, x: Array, u: Array, t: float) -> Array:
-    """phi = Kp (dn/dx F(x,u) - y_ref_dot(t)) + KI (n(x) - y_ref(t))."""
-    jac = np.atleast_2d(np.asarray(law.n_jac(x), dtype=float))
-    y_dot = jac @ np.asarray(model.F(x, u), dtype=float)
-    y = np.atleast_1d(np.asarray(law.n_fn(x), dtype=float))
-    return law.Kp @ (y_dot - np.atleast_1d(law.y_ref_dot(t))) \
-        + law.KI @ (y - np.atleast_1d(law.y_ref(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,42 +93,12 @@ class LinePath:
         return e, self.heading
 
 
-class WaypointPath:
-    """Piecewise-linear reference path through a list of waypoints."""
-
-    def __init__(self, waypoints: Sequence[Sequence[float]]):
-        pts = np.asarray(waypoints, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
-            raise ContractViolationError("waypoints: need at least two 2-D points")
-        self.points = pts
-        diffs = np.diff(pts, axis=0)
-        self._lengths = np.linalg.norm(diffs, axis=1)
-        if np.any(self._lengths == 0.0):
-            raise ContractViolationError("waypoints: consecutive duplicates")
-        self._tangents = diffs / self._lengths[:, None]
-
-    def query(self, x: float, y: float) -> tuple:
-        pos = np.array([x, y])
-        best = (math.inf, 0.0, 0.0)
-        for i in range(self.points.shape[0] - 1):
-            t = self._tangents[i]
-            rel = pos - self.points[i]
-            along = float(np.clip(rel @ t, 0.0, self._lengths[i]))
-            closest = self.points[i] + along * t
-            diff = pos - closest
-            dist = float(diff @ diff)
-            if dist < best[0]:
-                e = float(diff[0] * t[1] - diff[1] * t[0])
-                best = (dist, e, math.atan2(t[1], t[0]))
-        return best[1], best[2]
-
-
 @dataclass(frozen=True)
 class StanleyLaw:
     """Cross-track steering law: align with the path and pull the error to zero."""
 
     k: float
-    path: object  # LinePath or WaypointPath
+    path: LinePath
 
     def __post_init__(self):
         if self.k <= 0.0:

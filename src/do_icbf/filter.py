@@ -68,21 +68,6 @@ class FilterResult:
     active_labels: list = field(default_factory=list)
     infeasible: bool = False
 
-    @property
-    def v_norm(self) -> float:
-        return float(np.linalg.norm(self.v_star))
-
-
-def solve_single(p_row: Array, f: float, label: str = "h") -> FilterResult:
-    """Closed-form least-norm solution for one constraint p^T v >= f."""
-    p = np.atleast_1d(np.asarray(p_row, dtype=float))
-    if f <= 0.0:
-        return FilterResult(np.zeros_like(p))
-    pp = float(p @ p)
-    if pp <= EPS_P * EPS_P:
-        return FilterResult(np.zeros_like(p), infeasible=True)
-    return FilterResult((f / pp) * p, active_labels=[label])
-
 
 def solve_1d(cons: Sequence[tuple]) -> Optional[float]:
     """Least-norm scalar v with p * v >= rhs for every (p, rhs) in cons, or
@@ -112,8 +97,8 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
     Enumerates active subsets of size <= m, solves the equality-constrained
     least-norm system through the Gram matrix of each subset, and keeps the
     feasible candidate of least norm (the minimizer always lies on such a
-    subset, so this is exact). Reduces to solve_single for one constraint.
-    Returns the infeasible flag when no candidate satisfies every constraint.
+    subset, so this is exact). Returns the infeasible flag when no candidate
+    satisfies every constraint.
     """
     constraints = list(constraints)
     if len(constraints) > 8:

@@ -48,24 +48,6 @@ class SystemModel:
             object.__setattr__(self, "d_true", lambda t: zero)
 
 
-def eval_dynamics(model: SystemModel, x, u, d) -> Array:
-    """State derivative F(x,u) + ell(x) d, with dimension checks on every argument."""
-    x = _as_vector(x, model.n, "x")
-    u = _as_vector(u, model.m, "u")
-    d = _as_vector(d, model.p, "d")
-    fx = np.asarray(model.F(x, u), dtype=float)
-    if fx.shape != (model.n,):
-        raise ContractViolationError(
-            f"model.F: expected output of shape ({model.n},), got {fx.shape}"
-        )
-    lx = np.asarray(model.ell(x), dtype=float)
-    if lx.shape != (model.n, model.p):
-        raise ContractViolationError(
-            f"model.ell: expected output of shape ({model.n}, {model.p}), got {lx.shape}"
-        )
-    return fx + lx @ d
-
-
 def finite_diff_gradient(f: Callable[[Array], float], point, step: float) -> Array:
     """Central-difference gradient of a scalar function of a k-vector.
 
@@ -93,32 +75,15 @@ def finite_diff_gradient(f: Callable[[Array], float], point, step: float) -> Arr
 
 @dataclass(frozen=True)
 class ClassKFunction:
-    """Scalar rate function: continuous, strictly increasing, zero at zero.
+    """Scalar rate function: continuous, strictly increasing, zero at zero."""
 
-    `linear` and `cubic` cover everything the benchmarks need; `custom` wraps
-    an arbitrary scalar map (the caller owns the class-K property, which the
-    test harness spot-checks on a grid).
-    """
-
-    kind: str
     fn: Callable[[float], float]
-    param: float = 0.0
 
     @staticmethod
     def linear(slope: float) -> "ClassKFunction":
         if slope <= 0.0:
             raise ContractViolationError(f"linear class-K slope must be > 0, got {slope}")
-        return ClassKFunction("linear", lambda s: slope * s, slope)
-
-    @staticmethod
-    def cubic(coef: float) -> "ClassKFunction":
-        if coef <= 0.0:
-            raise ContractViolationError(f"cubic class-K coefficient must be > 0, got {coef}")
-        return ClassKFunction("cubic", lambda s: coef * s * s * s, coef)
-
-    @staticmethod
-    def custom(fn: Callable[[float], float]) -> "ClassKFunction":
-        return ClassKFunction("custom", fn)
+        return ClassKFunction(lambda s: slope * s)
 
     def __call__(self, s: float) -> float:
         return self.fn(s)
@@ -153,12 +118,3 @@ class AugmentedState:
 
     def as_vector(self) -> Array:
         return np.concatenate([self.x, self.u, self.r])
-
-    @staticmethod
-    def from_vector(z: Array, n: int, m: int, p: int) -> "AugmentedState":
-        z = np.asarray(z, dtype=float)
-        if z.shape != (n + m + p,):
-            raise ContractViolationError(
-                f"z: expected a vector of length {n + m + p}, got shape {z.shape}"
-            )
-        return AugmentedState(z[:n].copy(), z[n:n + m].copy(), z[n + m:].copy())

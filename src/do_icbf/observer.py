@@ -30,12 +30,6 @@ from .model import Array, DisturbanceBounds, SystemModel
 log = logging.getLogger(__name__)
 
 
-def projection_gain(ell: Array) -> Array:
-    """Least-squares gain -(ell^T ell)^{-1} ell^T for a full-column-rank channel."""
-    ell = np.asarray(ell, dtype=float)
-    return -np.linalg.solve(ell.T @ ell, ell.T)
-
-
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer gains plus the constants of the error envelope.
@@ -78,29 +72,6 @@ class ObserverConfig:
 
     def gain_at(self, x: Array) -> Array:
         return self._ld_fn(x)  # type: ignore[attr-defined]
-
-
-@dataclass
-class ObserverState:
-    """Internal observer vector r; owned by the simulation loop."""
-
-    r: Array
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-
-
-def disturbance_estimate(cfg: ObserverConfig, state: ObserverState, x: Array) -> Array:
-    """Current estimate d_hat = r + beta * q(x)."""
-    return state.r + cfg.beta * np.asarray(cfg.q_fn(x), dtype=float)
-
-
-def observer_rhs(cfg: ObserverConfig, model: SystemModel, x: Array, u: Array,
-                 state: ObserverState) -> Array:
-    """rdot = -beta * L_d(x) (F(x,u) + ell(x) d_hat)."""
-    d_hat = disturbance_estimate(cfg, state, x)
-    drift = np.asarray(model.F(x, u), dtype=float) + np.asarray(model.ell(x), dtype=float) @ d_hat
-    return -cfg.beta * (cfg.gain_at(x) @ drift)
 
 
 def error_envelope(cfg: ObserverConfig, t: float) -> float:

@@ -186,7 +186,7 @@ def build_acc(*,
         baseline_mode="icbf",
         default_t_end=50.0,
         tracking_name="final_speed",
-        tracking_fn=lambda log: float(log.column("x1")[-1]),
+        tracking_fn=lambda log: float(log.rows[-1][log.header.index("x1")]),
         check_box=check_box,
         check_resolution=[3, 7, 7, 7],
         fast_loop=True,
@@ -205,14 +205,13 @@ def build_bicycle(*,
                   gamma2: float = 1.0,
                   obstacle_radius: float = 1.0,
                   path_offset: float = 0.5,
-                  x0=(15.0, 10.0, math.pi / 2, 0.5),
-                  path: Optional[object] = None) -> Scenario:
+                  x0=(15.0, 10.0, math.pi / 2, 0.5)) -> Scenario:
     """Bicycle obstacle-avoidance benchmark with a 2-level chain.
 
     The wheelbase is not part of the published setup; 1.0 m is the default
-    and any positive value preserves the experiment. The reference path
-    defaults to the straight line from the start toward the origin, shifted
-    sideways by path_offset so it crosses the obstacle disk off-center.
+    and any positive value preserves the experiment. The reference path is
+    the straight line from the start toward the origin, shifted sideways by
+    path_offset so it crosses the obstacle disk off-center.
     The top constraint b2dot + gamma2(b2) >= 0 reuses gamma2.
     """
     L = wheelbase
@@ -301,11 +300,10 @@ def build_bicycle(*,
         gammas=(gam(gamma1), gam(gamma2)),
     )
 
-    if path is None:
-        to_origin = -x0[:2] / np.linalg.norm(x0[:2])
-        heading = math.atan2(to_origin[1], to_origin[0])
-        left_normal = np.array([-to_origin[1], to_origin[0]])
-        path = LinePath(point=path_offset * left_normal, heading=heading)
+    to_origin = -x0[:2] / np.linalg.norm(x0[:2])
+    heading = math.atan2(to_origin[1], to_origin[0])
+    left_normal = np.array([-to_origin[1], to_origin[0]])
+    path = LinePath(point=path_offset * left_normal, heading=heading)
 
     law = StanleyRateLaw(StanleyLaw(k=stanley_gain, path=path), max_steer=max_steer)
     u0 = np.array([law.command(x0)])
@@ -321,7 +319,8 @@ def build_bicycle(*,
                           u_low=(-0.8,), u_high=(0.8,))
 
     def final_cross_track(log):
-        e, _ = path.query(float(log.column("x0")[-1]), float(log.column("x1")[-1]))
+        last, col = log.rows[-1], log.header.index
+        e, _ = path.query(float(last[col("x0")]), float(last[col("x1")]))
         return e
 
     scenario = Scenario(
@@ -387,7 +386,7 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
         baseline_mode="off",
         default_t_end=5.0,
         tracking_name="final_state",
-        tracking_fn=lambda log: float(log.column("x0")[-1]),
+        tracking_fn=lambda log: float(log.rows[-1][log.header.index("x0")]),
         check_box=check_box,
         check_resolution=[9, 9],
         fast_loop=True,

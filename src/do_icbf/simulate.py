@@ -33,7 +33,7 @@ from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .errors import BlowupError, ConfigurationError, ContractViolationError
 from .filter import build_constraints, solve_1d, solve_multi
 from .model import Array, AugmentedState, SystemModel, _as_vector
-from .observer import ObserverConfig, ObserverState, disturbance_estimate, error_envelope
+from .observer import ObserverConfig, error_envelope
 
 FILTER_MODES = ("off", "icbf", "do_icbf", "high_order")
 
@@ -97,7 +97,7 @@ class Scenario:
         """The start point must lie in every protected set (filters only keep
         you inside a set you start in)."""
         x0, u0, r0 = self.initial.x, self.initial.u, self.initial.r
-        d_hat0 = disturbance_estimate(self.obs_cfg, ObserverState(r0), x0)
+        d_hat0 = r0 + self.obs_cfg.beta * self.obs_cfg.q_fn(x0)
         phi0 = np.zeros(self.model.m)
         _, values, _ = build_constraints(
             self.model, self.barriers, self.chain, phi0, x0, u0, d_hat0,

@@ -3,6 +3,11 @@ problems, LP feasibility + grid refinement + projection polish for vector
 problems, and a classical iterative active-set method. None of them share
 code with the solver under test.
 
+closed_form_single is the textbook solution of the one-constraint QP.
+
+augmented_rhs writes out the closed loop's right-hand side, observer
+included, for comparison against a step of the simulator's kernels.
+
 reference_check_validity is the plain per-point grid scan of the validity
 checker: every time and every point evaluated on its own, nothing shared."""
 
@@ -77,6 +82,52 @@ def feasible_point_lp(P, r):
 
 def feasible_lp(P, r):
     return feasible_point_lp(P, r) is not None
+
+
+def closed_form_single(p, f):
+    """Least-norm v with p . v >= f: zero when f <= 0, (f / ||p||^2) p when
+    p != 0, and None (infeasible) when f > 0 and p = 0."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if f <= 0.0:
+        return np.zeros_like(p)
+    pp = float(p @ p)
+    if pp <= EPS_P * EPS_P:
+        return None
+    return (f / pp) * p
+
+
+def disturbance_estimate(obs_cfg, r, x):
+    """The observer's estimate d_hat = r + beta q(x)."""
+    return np.asarray(r, dtype=float) + obs_cfg.beta * np.asarray(obs_cfg.q_fn(x), dtype=float)
+
+
+def augmented_rhs(model, obs_cfg, u_rate):
+    """Right-hand side of z = (x, u, r) with udot held at u_rate:
+
+        xdot = F(x,u) + ell(x) d_true(t)
+        rdot = -beta L_d(x) (F(x,u) + ell(x) d_hat),  d_hat = r + beta q(x)
+    """
+    n, m = model.n, model.m
+    u_rate = np.asarray(u_rate, dtype=float)
+
+    def rhs(t, z):
+        x, u, r = z[:n], z[n:n + m], z[n + m:]
+        fx = np.asarray(model.F(x, u), dtype=float)
+        lx = np.asarray(model.ell(x), dtype=float)
+        d_hat = disturbance_estimate(obs_cfg, r, x)
+        rdot = -obs_cfg.beta * (np.asarray(obs_cfg.gain_at(x), dtype=float) @ (fx + lx @ d_hat))
+        return np.concatenate([fx + lx @ model.d_true(t), u_rate, rdot])
+
+    return rhs
+
+
+def rk4(rhs, t, z, dt):
+    """One classical fourth-order Runge-Kutta step."""
+    k1 = rhs(t, z)
+    k2 = rhs(t + dt / 2, z + dt / 2 * k1)
+    k3 = rhs(t + dt / 2, z + dt / 2 * k2)
+    k4 = rhs(t + dt, z + dt * k3)
+    return z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def dykstra_projection(P, r, iters=100000, tol=1e-14):

@@ -11,12 +11,12 @@ import pytest
 from do_icbf import (DisturbanceBounds, SimConfig, SplitMix64, build_acc,
                      build_bicycle, build_example1, error_envelope,
                      finite_diff_gradient, rk4_step, run_closed_loop,
-                     sinusoid_disturbance, solve_multi, solve_single)
+                     sinusoid_disturbance, solve_multi)
 from do_icbf.cli import EXIT_INVALID, main
 from do_icbf.filter import FilterConstraint
 
-from oracles import (active_set_oracle, grid_polish_oracle, interval_oracle_1d,
-                     random_instances)
+from oracles import (active_set_oracle, closed_form_single, grid_polish_oracle,
+                     interval_oracle_1d, random_instances)
 
 
 class Budget:
@@ -157,15 +157,9 @@ def test_criterion_6_qp_oracle_equivalence():
             res = solve_multi(cons)
 
             # single-constraint closed form is reproduced exactly
-            single = solve_single(P[0], r[0])
-            p = P[0]
-            pp = float(p @ p)
-            if r[0] <= 0.0:
-                expected = np.zeros(m)
-            elif pp <= 1e-16:
-                expected = None
-            else:
-                expected = (r[0] / pp) * p
+            single = solve_multi(cons[:1])
+            expected = closed_form_single(P[0], r[0])
+            assert single.infeasible == (expected is None)
             if expected is not None:
                 assert np.array_equal(single.v_star, expected)
                 kkt_exact += 1

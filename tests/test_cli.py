@@ -308,6 +308,19 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
     assert "overrides.disturbance" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # only numeric builder keywords are reachable from JSON, plus the
+    # initial_x / initial_u / disturbance fields; x0 / u0 are not second names
+    for scenario, key, value in [("bicycle", "path", [1, 2]), ("acc", "bounds", 1),
+                                 ("acc", "d_true", 1), ("acc", "x0", [0, 10, 25]),
+                                 ("acc", "u0", [0]), ("bicycle", "x0", [15, 10, 1.5, 0.5])]:
+        cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "t_end": 0.1,
+                                   "overrides": {key: value}, "out": str(tmp_path / "out")}))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown override {key!r} for scenario {scenario!r}" in err
+        accepted = err.split("accepted: ")[1].strip().split(", ")
+        assert key not in accepted and "initial_x" in accepted
+        assert not (tmp_path / "out").exists()
 
 
 def test_initial_u_is_offered_only_to_scenarios_with_a_start_input(tmp_path, capsys):

@@ -4,61 +4,10 @@ import numpy as np
 import pytest
 
 from do_icbf import (ACCPredictiveLaw, ContractViolationError, LinePath,
-                     PILaw, SplitMix64, StanleyLaw, SystemModel, WaypointPath,
-                     acc_predicted_output, acc_rate, pi_rate, stanley_rate,
-                     stanley_steer, wrap_angle)
+                     SplitMix64, StanleyLaw, acc_predicted_output, acc_rate,
+                     stanley_rate, stanley_steer, wrap_angle)
 
 TABLE = dict(alpha=10.0, c0=0.1, c1=5.0, mass=1650.0, v_d=24.0)
-
-
-def scalar_integrator():
-    return SystemModel(n=1, m=1, p=1, F=lambda x, u: (u[0],),
-                       ell=lambda x: np.zeros((1, 1)))
-
-
-def make_pi(kp=1.0, ki=1.0, y_ref=1.0):
-    return PILaw(Kp=[[kp]], KI=[[ki]],
-                 n_fn=lambda x: np.array([x[0]]),
-                 n_jac=lambda x: np.array([[1.0]]),
-                 y_ref=lambda t: np.array([y_ref]),
-                 y_ref_dot=lambda t: np.zeros(1))
-
-
-def test_pi_rate_perfect_tracking_is_zero():
-    law = make_pi(y_ref=0.0)
-    model = scalar_integrator()
-    phi = pi_rate(law, model, np.zeros(1), np.zeros(1), 0.0)
-    assert np.array_equal(phi, np.zeros(1))
-
-
-def test_pi_rate_pure_integral_action():
-    law = make_pi(kp=0.0, ki=2.0, y_ref=1.0)
-    phi = pi_rate(law, scalar_integrator(), np.array([0.25]), np.zeros(1), 0.0)
-    assert phi[0] == pytest.approx(2.0 * (0.25 - 1.0))
-
-
-def test_pi_rate_scalar_example():
-    # x' = u, n(x) = x, y_ref = 1, Kp = KI = 1, x = 0, u = 0 -> phi = -1
-    law = make_pi()
-    phi = pi_rate(law, scalar_integrator(), np.zeros(1), np.zeros(1), 0.0)
-    assert phi[0] == pytest.approx(-1.0)
-
-
-def test_pi_rate_superposition():
-    rng = SplitMix64(3)
-    model = scalar_integrator()
-    for _ in range(50):
-        kp = rng.uniform(0.1, 3.0)
-        ki = rng.uniform(0.1, 3.0)
-        x1 = np.array([rng.uniform(-2, 2)])
-        x2 = np.array([rng.uniform(-2, 2)])
-        u1 = np.array([rng.uniform(-2, 2)])
-        u2 = np.array([rng.uniform(-2, 2)])
-        law = make_pi(kp, ki, y_ref=0.0)
-        a = pi_rate(law, model, x1, u1, 0.0)
-        b = pi_rate(law, model, x2, u2, 0.0)
-        both = pi_rate(law, model, x1 + x2, u1 + u2, 0.0)
-        assert both[0] == pytest.approx(a[0] + b[0], rel=1e-12, abs=1e-12)
 
 
 def test_acc_prediction_degenerates_to_current_speed_at_zero_horizon():
@@ -205,18 +154,6 @@ def test_stanley_rate_decays_on_straight_tracking():
         psi += v * math.tan(delta) * dt
     assert np.mean(rates[-100:]) < 1e-6
     assert abs(y) < 1e-3  # actually converged onto the path
-
-
-def test_waypoint_path_query():
-    path = WaypointPath([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)])
-    e, theta = path.query(5.0, -1.0)
-    assert theta == pytest.approx(0.0)
-    assert e == pytest.approx(1.0)  # right of the eastbound segment
-    e, theta = path.query(12.0, 5.0)
-    assert theta == pytest.approx(math.pi / 2)
-    assert e == pytest.approx(2.0)
-    with pytest.raises(ContractViolationError):
-        WaypointPath([(0.0, 0.0)])
 
 
 def test_wrap_angle_range_and_identity():

@@ -1,23 +1,27 @@
 import numpy as np
 import pytest
 
-from do_icbf import (ConfigurationError, FilterConstraint, ObserverState,
-                     SimConfig, SplitMix64, build_constraints,
-                     disturbance_estimate, error_envelope, run_closed_loop,
-                     solve_multi, solve_single)
+from do_icbf import (ConfigurationError, FilterConstraint, SimConfig,
+                     SplitMix64, build_constraints, error_envelope,
+                     run_closed_loop, solve_multi)
 
-from oracles import (active_set_oracle, grid_polish_oracle,
-                     interval_oracle_1d, random_instances)
+from oracles import (active_set_oracle, closed_form_single, disturbance_estimate,
+                     grid_polish_oracle, interval_oracle_1d, random_instances)
+
+
+def solve_one(p, f):
+    """The QP with the single constraint p . v >= f."""
+    return solve_multi([FilterConstraint(p, f)])
 
 
 def test_solve_single_slack_constraint_returns_zero():
-    res = solve_single(np.array([3.0, -1.0]), -1.0)
+    res = solve_one(np.array([3.0, -1.0]), -1.0)
     assert not res.infeasible
     assert np.array_equal(res.v_star, np.zeros(2))
 
 
 def test_solve_single_scaled_normal():
-    res = solve_single(np.array([2.0, 0.0]), 4.0)
+    res = solve_one(np.array([2.0, 0.0]), 4.0)
     assert np.allclose(res.v_star, [2.0, 0.0], atol=1e-15)
     # brute-force cross-check on a fine grid: nothing feasible is shorter
     grid = np.linspace(-4.0, 4.0, 161)
@@ -28,11 +32,11 @@ def test_solve_single_scaled_normal():
                 nrm = a * a + b * b
                 if best is None or nrm < best:
                     best = nrm
-    assert res.v_norm ** 2 <= best + 1e-9
+    assert float(res.v_star @ res.v_star) <= best + 1e-9
 
 
 def test_solve_single_zero_normal_is_infeasible():
-    res = solve_single(np.zeros(2), 1.0)
+    res = solve_one(np.zeros(2), 1.0)
     assert res.infeasible
 
 
@@ -44,20 +48,21 @@ def test_solve_single_constraint_tight():
         f = rng.uniform(0.01, 10.0)
         if float(p @ p) < 1e-4:
             continue
-        res = solve_single(p, f)
+        res = solve_one(p, f)
         assert abs(float(p @ res.v_star) - f) <= 1e-12 * max(1.0, abs(f))
 
 
 def test_solve_multi_reduces_to_solve_single():
+    # one constraint: solve_multi reproduces the closed form bit for bit
     rng = SplitMix64(17)
     for _ in range(1000):
         m = rng.integer(1, 3)
         p = np.array([rng.uniform(-5, 5) for _ in range(m)])
         f = rng.uniform(-5, 5)
-        single = solve_single(p, f)
-        multi = solve_multi([FilterConstraint(p, f)])
-        assert single.infeasible == multi.infeasible
-        assert np.array_equal(single.v_star, multi.v_star)
+        expected = closed_form_single(p, f)
+        res = solve_one(p, f)
+        assert res.infeasible == (expected is None)
+        assert np.array_equal(res.v_star, np.zeros(m) if expected is None else expected)
 
 
 def test_solve_multi_interval_example():
@@ -113,9 +118,10 @@ def test_solve_multi_first_order_optimality():
         k = rng.integer(1, 3)
         P, r = _random_instance(rng, m, k)
         res = solve_multi([FilterConstraint(P[i], r[i]) for i in range(k)])
-        if res.infeasible or res.v_norm == 0.0:
+        v_norm = float(np.linalg.norm(res.v_star))
+        if res.infeasible or v_norm == 0.0:
             continue
-        shrunk = res.v_star - 1e-3 * res.v_star / res.v_norm
+        shrunk = res.v_star - 1e-3 * res.v_star / v_norm
         slacks = P @ shrunk - r
         assert slacks.min() < 1e-9  # shrinking toward zero breaks a constraint
 
@@ -132,7 +138,8 @@ def test_solve_multi_complementary_slackness():
             continue
         for c in cons:
             slack = c.slack(res.v_star)
-            scale = max(1.0, abs(c.rhs), float(np.linalg.norm(c.p_row)) * res.v_norm)
+            scale = max(1.0, abs(c.rhs),
+                        float(np.linalg.norm(c.p_row)) * float(np.linalg.norm(res.v_star)))
             assert slack >= -1e-9 * scale
             if c.label in res.active_labels:
                 assert abs(slack) <= 1e-9 * scale
@@ -142,7 +149,7 @@ def test_solve_multi_complementary_slackness():
 
 def _safe_rate(sc, phi, r, x, u, t):
     """phi + v* from the observer estimate, as the vector kernel computes it."""
-    d_hat = disturbance_estimate(sc.obs_cfg, ObserverState(r), x)
+    d_hat = disturbance_estimate(sc.obs_cfg, r, x)
     constraints, _, _ = build_constraints(sc.model, sc.barriers, sc.chain, phi, x, u,
                                           d_hat, error_envelope(sc.obs_cfg, t))
     result = solve_multi(constraints)
@@ -191,7 +198,7 @@ def test_safe_rate_propagates_infeasibility(example1_scenario):
 def test_classic_state_feedback_qp_as_degenerate_case():
     # The textbook safety QP over the input itself,
     #   min ||u - k(x)||^2  s.t.  Lf b + Lg b u >= -alpha b,
-    # is the v := u - k(x) substitution of the single-constraint solve. Check
+    # is the v := u - k(x) substitution of the single-constraint QP. Check
     # on a control-affine toy: x' = -x + u, b = 1 - x^2, k(x) = 2 (unsafe push).
     x = 0.9
     b = 1.0 - x * x
@@ -200,7 +207,7 @@ def test_classic_state_feedback_qp_as_degenerate_case():
     alpha = 1.0
     k_x = 2.0
     rhs = -alpha * b - lf - lg * k_x
-    res = solve_single(np.array([lg]), rhs)
+    res = solve_one(np.array([lg]), rhs)
     u_safe = k_x + float(res.v_star[0])
     # verify against a dense search over u
     grid = np.linspace(-10.0, 10.0, 200001)

@@ -1,16 +1,19 @@
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from do_icbf import (BarrierSpec, ClassKFunction, ConfigurationError,
-                     ContractViolationError, DisturbanceBounds, ObserverConfig,
-                     ObserverState, SimConfig, SplitMix64, SystemModel,
-                     build_constraints, check_gain_condition,
-                     disturbance_estimate, error_envelope,
-                     finite_diff_gradient, observer_rhs, projection_gain,
-                     run_closed_loop)
+from do_icbf import (AugmentedState, BarrierSpec, ClassKFunction,
+                     ConfigurationError, ContractViolationError,
+                     DisturbanceBounds, ObserverConfig, SimConfig, SplitMix64,
+                     SystemModel, build_acc, build_bicycle, build_constraints,
+                     check_gain_condition, error_envelope,
+                     finite_diff_gradient, run_closed_loop,
+                     sinusoid_disturbance)
+
+from oracles import augmented_rhs, disturbance_estimate, rk4
 
 BOUNDS = DisturbanceBounds(k0=2.0, k1=0.0)
 
@@ -21,43 +24,47 @@ def make_cfg(beta=1.0, mu1=1.0, e0=2.0, bounds=BOUNDS, L_d=None):
     return ObserverConfig(beta=beta, L_d=L_d, mu1=mu1, e_d0_bound=e0, bounds=bounds)
 
 
-def test_estimate_identity_potential():
+def _logged_estimate(scenario, cfg, x, r):
+    """The d_hat that the vector kernel logs at t = 0 when the run starts
+    from (x, u0, r) with observer cfg."""
+    sc = dataclasses.replace(scenario, obs_cfg=cfg, fast_loop=False,
+                             initial=AugmentedState(x, scenario.initial.u, r))
+    log = run_closed_loop(sc, SimConfig(dt=1e-3, t_end=1e-3, filter_mode="off"))
+    return log.rows[0][log.header.index("dhat0")]
+
+
+def test_estimate_identity_potential(acc_scenario):
     cfg = ObserverConfig(beta=1.0, L_d=np.array([[1.0, 0.0, 0.0]]), mu1=1.0,
                          e_d0_bound=0.0, bounds=BOUNDS)
-    st = ObserverState(np.zeros(1))
-    assert disturbance_estimate(cfg, st, np.array([3.0, -1.0, 5.0])) == pytest.approx(3.0)
+    x = np.array([3.0, -1.0, 5.0])
+    assert _logged_estimate(acc_scenario, cfg, x, np.zeros(1)) == pytest.approx(3.0)
 
 
-def test_estimate_cancellation():
-    cfg = make_cfg()
-    st = ObserverState(np.array([-2.0]))
-    d_hat = disturbance_estimate(cfg, st, np.array([0.0, 2.0, 0.0]))
+def test_estimate_cancellation(acc_scenario):
+    d_hat = _logged_estimate(acc_scenario, make_cfg(), np.array([0.0, 2.0, 0.0]),
+                             np.array([-2.0]))
     assert d_hat == pytest.approx(0.0, abs=1e-15)
 
 
 def test_estimate_acc_at_start(acc_scenario):
     # with r(0) = 0 the estimate is beta * q(x0) = x2(0)
     cfg = acc_scenario.obs_cfg
-    st = ObserverState(np.zeros(1))
     x0 = acc_scenario.initial.x
-    assert disturbance_estimate(cfg, st, x0) == pytest.approx(cfg.beta * x0[1])
+    assert _logged_estimate(acc_scenario, cfg, x0, np.zeros(1)) == pytest.approx(cfg.beta * x0[1])
     # the shipped scenario starts the internal state at -beta q(x0) instead
-    st0 = ObserverState(acc_scenario.initial.r)
-    assert disturbance_estimate(cfg, st0, x0) == pytest.approx(0.0, abs=1e-15)
+    d_hat0 = _logged_estimate(acc_scenario, cfg, x0, acc_scenario.initial.r)
+    assert d_hat0 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_observer_rhs_kernel_case():
-    cfg = make_cfg()
-    model_f = lambda x, u: (0.0, -1.5, 0.0)  # equals -ell d_hat for d_hat = 1.5
-    from do_icbf import SystemModel
-    model = SystemModel(n=3, m=1, p=1, F=model_f,
+    # the augmented-rhs oracle: F = -ell d_hat for d_hat = 1.5 leaves r at rest
+    model = SystemModel(n=3, m=1, p=1, F=lambda x, u: (0.0, -1.5, 0.0),
                         ell=lambda x: np.array([[0.0], [1.0], [0.0]]))
-    st = ObserverState(np.array([1.5]))
     cfg0 = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0,
                           e_d0_bound=0.0, bounds=BOUNDS,
                           q_fn=lambda x: np.zeros(1))
-    out = observer_rhs(cfg0, model, np.zeros(3), np.zeros(1), st)
-    assert np.allclose(out, 0.0, atol=1e-15)
+    out = augmented_rhs(model, cfg0, [0.0])(0.0, np.array([0.0, 0.0, 0.0, 0.0, 1.5]))
+    assert np.allclose(out[4:], 0.0, atol=1e-15)
 
 
 def test_observer_rejects_bad_gains():
@@ -72,18 +79,43 @@ def test_observer_rejects_bad_gains():
 
 
 def test_observer_rhs_acc_substitution(acc_scenario):
-    # oracle: -beta L_d (F + ell d_hat) with d_hat = r + beta x2 at r = 0
+    # the augmented-rhs oracle: -beta L_d (F + ell d_hat) with d_hat = r + beta x2 at r = 0
     model = acc_scenario.model
     cfg = acc_scenario.obs_cfg
     x = np.array([0.0, 10.0, 50.0])
     u = np.zeros(1)
-    st = ObserverState(np.zeros(1))
-    d_hat = 10.0
-    expected = -(float(model.F(x, u)[1]) + d_hat)  # row 2 of F plus the channel
-    out = observer_rhs(cfg, model, x, u, st)
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(expected, rel=1e-15)
-    assert out[0] == pytest.approx(75.1 / 1650.0 - 10.0, rel=1e-12)
+    assert disturbance_estimate(cfg, np.zeros(1), x) == pytest.approx(10.0)
+    expected = -(float(model.F(x, u)[1]) + 10.0)  # row 2 of F plus the channel
+    out = augmented_rhs(model, cfg, [0.0])(0.0, np.concatenate([x, u, np.zeros(1)]))
+    assert out[4:].shape == (1,)
+    assert out[4] == pytest.approx(expected, rel=1e-15)
+    assert out[4] == pytest.approx(75.1 / 1650.0 - 10.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["acc", "bicycle"])
+def test_vector_kernel_step_matches_augmented_rhs_oracle(name):
+    # one filter-off step of the vector kernel against an RK4 step of the oracle;
+    # acc runs under a sinusoid, so d_true differs at every RK4 stage
+    if name == "acc":
+        scenario = build_acc(d_true=sinusoid_disturbance(1.5, 2.0, 0.3),
+                             bounds=DisturbanceBounds(1.5, 3.0))
+    else:
+        scenario = build_bicycle()
+    scenario = dataclasses.replace(scenario, fast_loop=False)
+    model, cfg = scenario.model, scenario.obs_cfg
+    n, m = model.n, model.m
+    dt = 1e-2
+    log = run_closed_loop(scenario, SimConfig(dt=dt, t_end=dt, filter_mode="off"))
+    col = log.header.index
+    first, second = log.rows
+    z0 = scenario.initial.as_vector()
+    z1 = rk4(augmented_rhs(model, cfg, [first[col("phi0")]]), 0.0, z0, dt)
+    for row, z in ((first, z0), (second, z1)):
+        logged = [row[col(f"x{i}")] for i in range(n)] + [row[col(f"u{i}")] for i in range(m)]
+        np.testing.assert_allclose(logged, z[:n + m], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(row[col("dhat0")],
+                                   disturbance_estimate(cfg, z[n + m:], z[:n]),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_envelope_at_zero_and_infinity():
@@ -173,13 +205,6 @@ def test_q_fn_jacobian_matches_gain(acc_scenario, bicycle_scenario):
             for row in range(gain.shape[0]):
                 jac = finite_diff_gradient(lambda v, r=row: float(cfg.q_fn(v)[r]), x, 1e-5)
                 assert np.allclose(jac, gain[row], atol=1e-5)
-
-
-def test_projection_gain_recipe():
-    ell = np.array([[0.0], [2.0], [0.0]])
-    gain = projection_gain(ell)
-    assert gain.shape == (1, 3)
-    assert np.allclose(gain, [[0.0, -0.5, 0.0]])
 
 
 def test_gain_condition_check_warns_on_failure(caplog, acc_scenario):
