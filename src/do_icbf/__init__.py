@@ -7,9 +7,7 @@ simulator, and two vehicle benchmarks plus a CLI.
 """
 
 from .barriers import BarrierChain, BarrierSpec, DomainBox
-from .control_laws import (ACCPredictiveLaw, LinePath, StanleyLaw,
-                           acc_predicted_output, acc_rate, stanley_rate,
-                           stanley_steer, wrap_angle)
+from .control_laws import PredictiveCruiseRate, StanleyRateLaw
 from .errors import (BlowupError, ConfigurationError, ContractViolationError,
                      NumericalDomainError)
 from .filter import (FilterConstraint, FilterResult, ValidityReport,

@@ -9,8 +9,9 @@ a half-space constraint on the correction v:
 
 where p is the transposed input gradient of h and the deficit collects
 everything v cannot change. When the input gradient vanishes identically the
-chain b_0 = h, b_i = bdot_{i-1} + gamma_i(b_{i-1}) - margin recovers input
-authority after as many derivatives as the relative degree requires.
+chain b_0 = h, b_{i+1} = bdot_i + gamma_i(b_i) - margin, with gamma_i the rate
+of level i, recovers input authority after as many derivatives as the
+relative degree requires.
 """
 
 from __future__ import annotations
@@ -58,28 +59,22 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class BarrierChain:
-    """Ordered chain b_0 ... b_m with per-level class-K rates gamma_1 ... gamma_m.
+    """Ordered chain b_0 ... b_m, each level owning its class-K rate.
 
     Every level is user-supplied with value and gradients (the benchmarks
     derive them by hand); levels lacking gradients fall back to finite
-    differences via BarrierSpec. gamma_i drives level i, and gamma_m also
-    the top-level constraint, so a chain takes exactly m rates. Level 0 must
-    be input-free; only the top level needs input authority.
+    differences via BarrierSpec. Level i's gamma_i defines the next level,
+    b_{i+1} = bdot_i + gamma_i(b_i) - margin, and the top level's gamma_m
+    enters its own constraint, as a plain barrier's does. Level 0 must be
+    input-free; only the top level needs input authority.
     """
 
     levels: Sequence[BarrierSpec]
-    gammas: Sequence[ClassKFunction]
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "gammas", tuple(self.gammas))
         if len(self.levels) < 2:
             raise ConfigurationError("a chain needs at least levels b_0 and b_1")
-        if len(self.gammas) != self.m:
-            raise ConfigurationError(
-                f"chain of length m={self.m} needs exactly {self.m} class-K rates, "
-                f"got {len(self.gammas)}"
-            )
         if len(set(self.labels)) != len(self.levels):
             raise ConfigurationError(f"chain level labels must be distinct, got {self.labels}")
 

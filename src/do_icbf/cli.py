@@ -71,6 +71,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
 _INITIAL = (("initial_x", "x0"), ("initial_u", "u0"))
 
 
+def _number(value, name: str, integer: bool = False):
+    """A JSON number as a float, or with integer=True a JSON integer as an int;
+    anything else (a bool too) is a ConfigurationError naming the field."""
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ConfigurationError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                                 f"got {value!r}")
+    return value if integer else float(value)
+
+
 def _build_from_config(cfg: dict):
     name = cfg["scenario"]
     if name not in BUILDERS:
@@ -88,24 +97,34 @@ def _build_from_config(cfg: dict):
         raise ConfigurationError(f"unknown override {', '.join(map(repr, unknown))} for "
                                  f"scenario {name!r}; accepted: {', '.join(sorted(accepted))}")
     dist = overrides.pop("disturbance", None)
+    for key, value in overrides.items():
+        if key not in ("initial_x", "initial_u"):
+            _number(value, f"overrides.{key}")
+        elif isinstance(value, list):  # the builder checks the length
+            for i, v in enumerate(value):
+                _number(v, f"overrides.{key}[{i}]")
+        else:
+            raise ConfigurationError(f"overrides.{key} must be a list of numbers, got {value!r}")
     if dist is not None:
         if not isinstance(dist, dict):
             raise ConfigurationError(f"overrides.disturbance must be a JSON object, got {dist!r}")
+        num = {key: _number(dist[key], f"overrides.disturbance.{key}")
+               for key in ("value", "amplitude", "omega", "phase") if key in dist}
         kind = dist.get("kind")
         if kind == "constant":
-            value = float(dist["value"])
+            value = num["value"]
             overrides["d_true"] = constant_disturbance(value)
             overrides["bounds"] = DisturbanceBounds(k0=abs(value), k1=0.0)
         elif kind == "sinusoid":
-            amp = float(dist["amplitude"])
-            omega = float(dist["omega"])
-            phase = float(dist.get("phase", 0.0))
+            amp = num["amplitude"]
+            omega = num["omega"]
+            phase = num.get("phase", 0.0)
             overrides["d_true"] = sinusoid_disturbance(amp, omega, phase)
             overrides["bounds"] = DisturbanceBounds(k0=abs(amp), k1=abs(amp * omega))
         else:
             raise ConfigurationError(f"unknown disturbance kind {kind!r}")
     for field_name, param in _INITIAL:
-        if field_name in overrides:  # the builder checks the length
+        if field_name in overrides:
             overrides[param] = overrides.pop(field_name)
     return build_scenario(name, **overrides)
 
@@ -127,9 +146,9 @@ def _sim_configs(cfg: dict, scenario, command: str) -> list:
         modes.append(cfg.get("baseline", scenario.baseline_mode))
         if modes[0] == modes[1]:
             raise ConfigurationError(f"degenerate comparison: both modes are {modes[0]!r}")
-    settings = {key: cast(cfg[key]) for key, cast in (("dt", float), ("log_stride", int))
-                if key in cfg}
-    t_end = float(cfg.get("t_end", scenario.default_t_end))
+    settings = {key: _number(cfg[key], key, integer=key == "log_stride")
+                for key in ("dt", "log_stride") if key in cfg}
+    t_end = _number(cfg.get("t_end", scenario.default_t_end), "t_end")
     return [SimConfig(t_end=t_end, filter_mode=mode, **settings) for mode in modes]
 
 

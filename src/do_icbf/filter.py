@@ -176,9 +176,10 @@ def build_constraints(model: SystemModel,
         deficit = -( dh/dx (F + ell d_hat) + dh/du phi + gamma(h) )
 
     (positive when the nominal rate alone would let the safety condition
-    fail). A chain b_0 = h, b_i = bdot_{i-1} + gamma_i(b_{i-1}) - margin
-    contributes only its top-level constraint, with the margin evaluated on
-    the gradient of the level below (the level whose invariance the top level
+    fail). A chain b_0 = h, b_{i+1} = bdot_i + gamma_i(b_i) - margin, each
+    level with its own rate, contributes only its top-level constraint, whose
+    deficit takes the top level's rate and whose margin is evaluated on the
+    gradient of the level below (the level whose invariance the top level
     certifies). Every margin is ||dh/dx ell|| times the observer error
     envelope E(t) the caller passes in; envelope = 0.0 means no margins.
     Returns (constraints, barrier_values, margin_max).
@@ -208,15 +209,13 @@ def build_constraints(model: SystemModel,
             prev_gx = np.asarray(prev.grad_x(x, u), dtype=float)
             gu = np.atleast_1d(np.asarray(prev.grad_u(x, u), dtype=float))
             bdot = float(prev_gx @ drift) + float(gu @ phi)
-            vals.append(bdot + chain.gammas[i - 1](vals[i - 1])
-                        - _channel_margin(prev_gx, lx, envelope))
+            vals.append(bdot + prev.gamma(vals[i - 1]) - _channel_margin(prev_gx, lx, envelope))
         for label, val in zip(chain.labels, vals):
             values[label] = val
         top = levels[chain.m]
         p = np.atleast_1d(np.asarray(top.grad_u(x, u), dtype=float))
         gx = np.asarray(top.grad_x(x, u), dtype=float)
-        deficit = -(float(gx @ drift) + float(p @ phi)
-                    + chain.gammas[chain.m - 1](vals[chain.m]))
+        deficit = -(float(gx @ drift) + float(p @ phi) + top.gamma(vals[chain.m]))
         margin = _channel_margin(prev_gx, lx, envelope)
         margin_max = max(margin_max, margin)
         constraints.append(FilterConstraint(p, deficit + margin, top.label, deficit, margin))
@@ -258,13 +257,13 @@ def _grid_axes(box: DomainBox, resolution) -> list:
     return [np.linspace(lows[i], highs[i], resolution[i]) for i in range(dims)]
 
 
-def _input_free(spec: BarrierSpec, x: Array, u: Array, eps_p: float) -> bool:
-    """||grad_u|| <= eps_p in plain floats, for a scalar, tuple or 1-D grad_u."""
+def _input_free(spec: BarrierSpec, x: Array, u: Array) -> bool:
+    """||grad_u|| <= EPS_P in plain floats, for a scalar, tuple or 1-D grad_u."""
     g = spec.grad_u(x, u)
     try:
-        return math.hypot(*g) <= eps_p
+        return math.hypot(*g) <= EPS_P
     except TypeError:  # a scalar has no items
-        return abs(float(g)) <= eps_p
+        return abs(float(g)) <= EPS_P
 
 
 def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChain],
@@ -273,11 +272,10 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
                    box: DomainBox,
                    resolution,
                    obs_cfg: Optional[ObserverConfig] = None,
-                   times: Optional[Sequence[float]] = None,
-                   eps_p: float = EPS_P) -> ValidityReport:
+                   times: Optional[Sequence[float]] = None) -> ValidityReport:
     """Scan a grid for points where the correction has no authority yet is needed.
 
-    Wherever ||p|| <= eps_p the implication requires deficit <= -margin, both
+    Wherever ||p|| <= EPS_P the implication requires deficit <= -margin, both
     as build_constraints assembles them at d_hat = 0; each failure is recorded
     as (x, u, deficit, -margin, t). The scan is restricted to grid points
     inside the checked safe set (all barrier / chain values >= 0 there):
@@ -332,9 +330,9 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
         seen_nonzero = [False] * chain.m  # levels below the top
         for x, u in points:
             for i, lv in below:
-                if not seen_nonzero[i] and not _input_free(lv, x, u, eps_p):
+                if not seen_nonzero[i] and not _input_free(lv, x, u):
                     seen_nonzero[i] = True
-            if _input_free(top, x, u, eps_p):
+            if _input_free(top, x, u):
                 check_point((), chain, x, u)
         degree = next((i for i, flag in enumerate(seen_nonzero) if flag), chain.m)
     else:
@@ -343,7 +341,7 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
             raise ConfigurationError("no barriers to check")
         has_authority = False
         for x, u in points:
-            free = [spec for spec in specs if _input_free(spec, x, u, eps_p)]
+            free = [spec for spec in specs if _input_free(spec, x, u)]
             if len(free) < len(specs):
                 has_authority = True
             if free and not min(spec.h(x, u) for spec in specs) < 0.0:

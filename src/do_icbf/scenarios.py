@@ -37,8 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .barriers import BarrierChain, BarrierSpec, DomainBox
-from .control_laws import (ACCPredictiveLaw, LinePath, PredictiveCruiseRate,
-                           StanleyLaw, StanleyRateLaw, ZeroRate)
+from .control_laws import PredictiveCruiseRate, StanleyRateLaw, ZeroRate
 from .errors import ConfigurationError
 from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
                     SystemModel, _as_vector)
@@ -141,8 +140,7 @@ def build_acc(*,
     level1 = BarrierSpec(h=h_e, gamma=ClassKFunction.linear(gamma),
                          grad_x=h_e_grad_x, grad_u=lambda x, u: he_grad_u,
                          label="h_e")
-    chain = BarrierChain(levels=(level0, level1),
-                         gammas=(ClassKFunction.linear(gamma),))
+    chain = BarrierChain(levels=(level0, level1))
 
     # Wheel-force barrier h_u = (m c g)^2 - u^2.
     force_limit = mass * c_accel * g
@@ -166,8 +164,7 @@ def build_acc(*,
     check_gain_condition(obs_cfg, model,
                          [x0, np.array([10.0, v0, 30.0]), np.array([50.0, v_d, 60.0])])
 
-    law = PredictiveCruiseRate(ACCPredictiveLaw(T=horizon, alpha=alpha, c0=c0,
-                                                c1=c1, mass=mass, v_d=v_d))
+    law = PredictiveCruiseRate(T=horizon, alpha=alpha, c0=c0, c1=c1, mass=mass, v_d=v_d)
     domain = DomainBox(x_low=(-10.0, 0.0, 0.0), x_high=(2000.0, 40.0, 200.0),
                        u_low=(-force_limit,), u_high=(force_limit,))
     check_box = DomainBox(x_low=(0.0, 0.0, 0.0), x_high=(100.0, 30.0, 80.0),
@@ -212,7 +209,9 @@ def build_bicycle(*,
     and any positive value preserves the experiment. The reference path is
     the straight line from the start toward the origin, shifted sideways by
     path_offset so it crosses the obstacle disk off-center.
-    The top constraint b2dot + gamma2(b2) >= 0 reuses gamma2.
+    Each level carries its own rate: gamma1 builds b1 from b0, gamma2 builds
+    b2 from b1, and the top constraint b2dot + gamma2(b2) >= 0 takes b2's
+    rate, set to gamma2 as well.
     """
     L = wheelbase
     x0 = _as_vector(x0, 4, "initial_x")
@@ -297,15 +296,13 @@ def build_bicycle(*,
             BarrierSpec(h=b2, gamma=gam(gamma2), grad_x=b2_grad_x,
                         grad_u=b2_grad_u, label="b2"),
         ),
-        gammas=(gam(gamma1), gam(gamma2)),
     )
 
     to_origin = -x0[:2] / np.linalg.norm(x0[:2])
     heading = math.atan2(to_origin[1], to_origin[0])
     left_normal = np.array([-to_origin[1], to_origin[0]])
-    path = LinePath(point=path_offset * left_normal, heading=heading)
-
-    law = StanleyRateLaw(StanleyLaw(k=stanley_gain, path=path), max_steer=max_steer)
+    law = StanleyRateLaw(k=stanley_gain, point=path_offset * left_normal, heading=heading,
+                         max_steer=max_steer)
     u0 = np.array([law.command(x0)])
 
     obs_cfg = ObserverConfig(beta=1.0, L_d=np.zeros((1, 4)), mu1=1.0,
@@ -320,8 +317,7 @@ def build_bicycle(*,
 
     def final_cross_track(log):
         last, col = log.rows[-1], log.header.index
-        e, _ = path.query(float(last[col("x0")]), float(last[col("x1")]))
-        return e
+        return law.cross_track(float(last[col("x0")]), float(last[col("x1")]))
 
     scenario = Scenario(
         name="bicycle",

@@ -66,7 +66,7 @@ class Scenario:
 
     name: str
     model: SystemModel
-    law: object  # rate-law adapter with rate(t, x, u, dt); each run takes a deep copy
+    law: object  # nominal law with rate(t, x, u, dt) -> udot; each run takes a deep copy
     obs_cfg: ObserverConfig
     initial: AugmentedState
     domain: DomainBox
@@ -141,7 +141,6 @@ class TrajectoryLog:
             + [f"slack_{lab}" for lab in scenario.constraint_labels]
             + ["c_margin", "infeasible"]
         )
-        self._index = {name: i for i, name in enumerate(self.header)}
         self.rows: list = []
         self.halt_reason = "completed"
         self.halt_message = ""
@@ -149,10 +148,6 @@ class TrajectoryLog:
         self.filter_mode = cfg.filter_mode
         self.dt = cfg.dt
         self.fold: dict = {}
-
-    def column(self, name: str) -> np.ndarray:
-        i = self._index[name]
-        return np.array([r[i] for r in self.rows])
 
     def write_csv(self, path) -> None:
         """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings."""
@@ -357,7 +352,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     chain = scenario.chain
     if chain is not None:
         levels = [(s.h, s.grad_x, s.grad_u) for s in chain.levels]
-        gammas = tuple(g.fn for g in chain.gammas)
+        gammas = tuple(lv.gamma.fn for lv in chain.levels)
         m_top = chain.m
     rng_n = range(n)
     rng_z = range(n + 2)
@@ -415,7 +410,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             dot, _ = lie(gx, drift)
             margin_max = max(margin_max, below_margin)
             cons.append((p_val,
-                         -(dot + p_val * phi + gammas[m_top - 1](vals[m_top])) + below_margin))
+                         -(dot + p_val * phi + gammas[m_top](vals[m_top])) + below_margin))
         v_star = solve_1d(cons) if filter_on else 0.0
         infeasible = v_star is None
         if infeasible:

@@ -9,7 +9,9 @@ augmented_rhs writes out the closed loop's right-hand side, observer
 included, for comparison against a step of the simulator's kernels.
 
 reference_check_validity is the plain per-point grid scan of the validity
-checker: every time and every point evaluated on its own, nothing shared."""
+checker: every time and every point evaluated on its own, nothing shared.
+
+column reads one named column of a TrajectoryLog from its rows."""
 
 import itertools
 
@@ -22,6 +24,12 @@ from do_icbf.barriers import EPS_P
 from do_icbf.filter import _grid_axes
 
 EPS = 1e-8
+
+
+def column(log, name):
+    """The values of one header column over every logged row."""
+    i = log.header.index(name)
+    return np.array([row[i] for row in log.rows])
 
 
 def random_instances(rng, count):

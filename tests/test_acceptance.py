@@ -15,7 +15,7 @@ from do_icbf import (DisturbanceBounds, SimConfig, SplitMix64, build_acc,
 from do_icbf.cli import EXIT_INVALID, main
 from do_icbf.filter import FilterConstraint
 
-from oracles import (active_set_oracle, closed_form_single, grid_polish_oracle,
+from oracles import (active_set_oracle, closed_form_single, column, grid_polish_oracle,
                      interval_oracle_1d, random_instances)
 
 
@@ -46,15 +46,15 @@ def test_criterion_1_acc_safety_contrast():
                                                      filter_mode="do_icbf"))
         ablation = run_closed_loop(scenario, SimConfig(dt=1e-3, t_end=50.0,
                                                        filter_mode="icbf"))
-    min_robust = float(robust.column("b_h_x").min())
-    min_ablation = float(ablation.column("b_h_x").min())
+    min_robust = float(column(robust, "b_h_x").min())
+    min_ablation = float(column(ablation, "b_h_x").min())
     assert robust.halt_reason == "completed"
     assert ablation.halt_reason == "completed"
     assert min_robust >= -1e-3
     assert min_ablation < 0.0
     # the full invariance claim: every logged barrier stays above -1e-3
     for lab in ("h_x", "h_e", "h_u"):
-        assert float(robust.column(f"b_{lab}").min()) >= -1e-3, lab
+        assert float(column(robust, f"b_{lab}").min()) >= -1e-3, lab
     _report("criterion 1 (safety contrast)",
             f"min h_x robust={min_robust:.2e}, non-robust={min_ablation:.3f}",
             budget)
@@ -67,8 +67,8 @@ def test_criterion_2_observer_convergence():
     with Budget(5.0) as budget:
         log = run_closed_loop(scenario, SimConfig(dt=1e-3, t_end=50.0,
                                                   filter_mode="do_icbf"))
-    t = log.column("t")
-    err = np.abs(log.column("dhat0") - 2.0)
+    t = column(log, "t")
+    err = np.abs(column(log, "dhat0") - 2.0)
     tail = err[t >= 5.0 / lam]
     assert float(tail.max()) <= 0.05
     # decay ratio over one-second windows anchored anywhere in [1, 10]
@@ -88,7 +88,7 @@ def test_criterion_3_acc_settles_at_lead_speed():
     with Budget(5.0) as budget:
         log = run_closed_loop(scenario, SimConfig(dt=1e-3, t_end=50.0,
                                                   filter_mode="do_icbf"))
-    final_speed = float(log.column("x1")[-1])
+    final_speed = float(column(log, "x1")[-1])
     assert abs(final_speed - 13.89) <= 0.5
     _report("criterion 3 (settling)", f"x2(50) = {final_speed:.4f}", budget)
 
@@ -100,10 +100,10 @@ def test_criterion_4_bicycle_invariance():
         log = run_closed_loop(scenario, SimConfig(dt=1e-3, t_end=60.0,
                                                   filter_mode="high_order"))
     assert log.halt_reason == "completed"
-    mins = {lab: float(log.column(f"b_{lab}").min()) for lab in ("b0", "b1", "b2")}
+    mins = {lab: float(column(log, f"b_{lab}").min()) for lab in ("b0", "b1", "b2")}
     assert all(v >= -1e-3 for v in mins.values()), mins
-    x = log.column("x0")
-    y = log.column("x1")
+    x = column(log, "x0")
+    y = column(log, "x1")
     min_r2 = float((x * x + y * y).min())
     assert min_r2 >= 1.0 - 1e-3
     _report("criterion 4 (bicycle invariance)",
@@ -135,9 +135,9 @@ def test_criterion_5_error_envelope_soundness():
                                               filter_mode="do_icbf")))
         for scenario, cfg in cases:
             log = run_closed_loop(scenario, cfg)
-            t = log.column("t")
+            t = column(log, "t")
             err = np.linalg.norm(
-                np.column_stack([log.column("dhat0") - log.column("d0")]), axis=1)
+                np.column_stack([column(log, "dhat0") - column(log, "d0")]), axis=1)
             envelope = np.array([error_envelope(scenario.obs_cfg, ti) for ti in t])
             worst = max(worst, float((err - envelope).max()))
     assert worst <= 1e-6

@@ -107,7 +107,7 @@ def test_chain_value_fixed_point_is_zero():
                        grad_x=lambda x, u: (1.0, 0.0), grad_u=lambda x, u: (0.0,))
     lvl1 = BarrierSpec(h=lambda x, u: 0.0, gamma=GAM, label="b1",
                        grad_x=lambda x, u: (0.0, 1.0), grad_u=lambda x, u: (1.0,))
-    chain = BarrierChain(levels=(lvl0, lvl1), gammas=(GAM,))
+    chain = BarrierChain(levels=(lvl0, lvl1))
     _, values, _ = build_constraints(model, (), chain, np.zeros(1), np.zeros(2), np.zeros(1),
                                      np.zeros(1), 0.0)
     assert values["b1"] == 0.0
@@ -126,14 +126,42 @@ def test_chain_value_is_pure(bicycle_scenario):
 
 
 def test_chain_requires_enough_gammas():
+    # each level carries its own rate, so a chain's rates come with its
+    # levels: all it needs is b_0 and b_1
     b0, b1, b2 = (BarrierSpec(h=lambda x, u: 1.0, gamma=GAM, grad_x=lambda x, u: (0.0,),
                               grad_u=lambda x, u: (0.0,), label=f"b{i}") for i in range(3))
-    with pytest.raises(ConfigurationError, match="class-K rates"):
-        BarrierChain(levels=(b0, b1, b2), gammas=(GAM,))
-    # a chain takes exactly m rates: a trailing extra one is rejected too
-    with pytest.raises(ConfigurationError, match="class-K rates"):
-        BarrierChain(levels=(b0, b1), gammas=(GAM, GAM))
-    assert BarrierChain(levels=(b0, b1, b2), gammas=(GAM, GAM)).m == 2
+    with pytest.raises(ConfigurationError, match="at least levels b_0 and b_1"):
+        BarrierChain(levels=(b0,))
+    assert BarrierChain(levels=(b0, b1)).m == 1
+    assert BarrierChain(levels=(b0, b1, b2)).m == 2
+
+
+def test_each_chain_level_uses_its_own_rate():
+    # double integrator x0' = x1, x1' = u + d, chain b0 = x0,
+    # b1 = b0' + k0 b0, b2 = b1' + k1 b1, top constraint b2' + k2 b2 >= 0,
+    # three different linear rates so a level taking another's rate shows
+    k0, k1, k2 = 2.0, 3.0, 5.0
+    model = SystemModel(n=2, m=1, p=1, F=lambda x, u: (x[1], u[0]),
+                        ell=lambda x: np.array([[0.0], [1.0]]))
+    b0 = BarrierSpec(h=lambda x, u: x[0], gamma=ClassKFunction.linear(k0), label="b0",
+                     grad_x=lambda x, u: (1.0, 0.0), grad_u=lambda x, u: (0.0,))
+    b1 = BarrierSpec(h=lambda x, u: x[1] + k0 * x[0], gamma=ClassKFunction.linear(k1),
+                     label="b1", grad_x=lambda x, u: (k0, 1.0), grad_u=lambda x, u: (0.0,))
+    b2 = BarrierSpec(h=lambda x, u: u[0] + (k0 + k1) * x[1] + k0 * k1 * x[0],
+                     gamma=ClassKFunction.linear(k2), label="b2",
+                     grad_x=lambda x, u: (k0 * k1, k0 + k1), grad_u=lambda x, u: (1.0,))
+    chain = BarrierChain(levels=(b0, b1, b2))
+    x, u, phi, envelope = np.array([1.5, -0.5]), np.array([0.25]), np.array([0.1]), 0.5
+    (con,), values, _ = build_constraints(model, (), chain, phi, x, u, np.zeros(1), envelope)
+    assert values["b0"] == 1.5
+    # b1 = b0' + k0 b0 = -0.5 + 2 * 1.5; b0 does not see d, so no margin
+    assert values["b1"] == 2.5
+    # b2 = b1' + k1 b1 - |db1/dx ell| E = (2 * -0.5 + 0.25) + 3 * 2.5 - 1 * 0.5
+    assert values["b2"] == 6.25
+    # top: -(db2/dx F + db2/du phi + k2 b2) = -(6 * -0.5 + 5 * 0.25 + 0.1 + 5 * 6.25),
+    # with the margin of the level below
+    assert con.deficit == pytest.approx(-29.6, rel=1e-14)
+    assert con.margin == 0.5
 
 
 def test_repeated_labels_are_rejected(acc_scenario):
@@ -144,7 +172,7 @@ def test_repeated_labels_are_rejected(acc_scenario):
     lvl1 = BarrierSpec(h=lambda x, u: 0.25, gamma=GAM, grad_x=lambda x, u: (0.0,),
                        grad_u=lambda x, u: (1.0,))
     with pytest.raises(ConfigurationError, match="distinct"):
-        BarrierChain(levels=(lvl0, lvl1), gammas=(GAM,))
+        BarrierChain(levels=(lvl0, lvl1))
     # plain barriers may neither repeat a label nor reuse a chain label
     h_u = acc_scenario.barriers[0]
     with pytest.raises(ConfigurationError, match="'h_u'"):
@@ -219,7 +247,7 @@ def test_check_validity_degree_never_exceeds_m(bicycle_scenario):
     b0, b1 = (BarrierSpec(h=lambda x, u: 1.0 + x[0] ** 2, gamma=GAM,
                           grad_x=lambda x, u: (2.0 * x[0], 0.0, 0.0, 0.0),
                           grad_u=lambda x, u: (0.0,), label=f"b{i}") for i in range(2))
-    chain = BarrierChain(levels=(b0, b1), gammas=(GAM,))
+    chain = BarrierChain(levels=(b0, b1))
     box = DomainBox(x_low=(-1.0, -1.0, -1.0, 0.1), x_high=(1.0, 1.0, 1.0, 1.0),
                     u_low=(-0.5,), u_high=(0.5,))
     report = check_validity(chain, model, lambda x, u: (0.0,), box, 3)

@@ -323,6 +323,46 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario,fields,name", [
+    ("acc", {"overrides": {"mass": "abc"}}, "overrides.mass must be a number"),
+    ("bicycle", {"overrides": {"speed": None}}, "overrides.speed must be a number"),
+    ("acc", {"overrides": {"mass": True}}, "overrides.mass must be a number"),
+    ("acc", {"overrides": {"initial_x": [0, "10", 25]}}, "overrides.initial_x[1]"),
+    ("acc", {"overrides": {"initial_u": "0"}}, "overrides.initial_u must be a list"),
+    ("acc", {"overrides": {"disturbance": {"kind": "constant", "value": "2"}}},
+     "overrides.disturbance.value must be a number"),
+    ("acc", {"overrides": {"disturbance": {"kind": "sinusoid", "amplitude": True,
+                                           "omega": 0.5}}},
+     "overrides.disturbance.amplitude must be a number"),
+    ("acc", {"log_stride": 2.7}, "log_stride must be an integer"),
+    ("acc", {"log_stride": "3"}, "log_stride must be an integer"),
+    ("acc", {"t_end": "0.01"}, "t_end must be a number"),
+    ("acc", {"dt": True}, "dt must be a number"),
+], ids=["str-keyword", "null-keyword", "bool-keyword", "str-initial-entry",
+        "str-initial", "str-disturbance", "bool-disturbance", "float-stride",
+        "str-stride", "str-t_end", "bool-dt"])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, scenario, fields, name):
+    # a JSON true is no number, and a stride is no fraction
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
+                                    "out": str(tmp_path / "out")}, **fields)))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_integers_are_numbers(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "acc", "t_end": 1, "dt": 0.01,
+                               "log_stride": 10, "out": str(tmp_path / "out"),
+                               "overrides": {"mass": 1650, "initial_x": [0, 10, 25],
+                                             "disturbance": {"kind": "constant",
+                                                             "value": 2}}}))
+    assert run_cli("run", "--config", str(cfg)) == EXIT_OK
+    echo = load(tmp_path / "out" / "summary.json")["config"]
+    assert (echo["t_end"], echo["log_stride"]) == (1.0, 10)
+
+
 def test_initial_u_is_offered_only_to_scenarios_with_a_start_input(tmp_path, capsys):
     # bicycle derives its start steering from the Stanley law, so it takes no u0
     cfg = tmp_path / "cfg.json"

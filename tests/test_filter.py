@@ -5,7 +5,7 @@ from do_icbf import (ConfigurationError, FilterConstraint, SimConfig,
                      SplitMix64, build_constraints, error_envelope,
                      run_closed_loop, solve_multi)
 
-from oracles import (active_set_oracle, closed_form_single, disturbance_estimate,
+from oracles import (active_set_oracle, closed_form_single, column, disturbance_estimate,
                      grid_polish_oracle, interval_oracle_1d, random_instances)
 
 
@@ -186,7 +186,7 @@ def test_safe_rate_active_constraint_matches_formula(acc_scenario):
 def test_safe_rate_bicycle_start_needs_no_correction(bicycle_scenario):
     sc = bicycle_scenario
     log = run_closed_loop(sc, SimConfig(dt=1e-3, t_end=0.5, filter_mode="high_order"))
-    assert np.allclose(log.column("vstar0"), 0.0, atol=1e-12)
+    assert np.allclose(column(log, "vstar0"), 0.0, atol=1e-12)
 
 
 def test_safe_rate_propagates_infeasibility(example1_scenario):

@@ -13,7 +13,7 @@ from do_icbf import (AugmentedState, BarrierSpec, ClassKFunction,
                      finite_diff_gradient, run_closed_loop,
                      sinusoid_disturbance)
 
-from oracles import augmented_rhs, disturbance_estimate, rk4
+from oracles import augmented_rhs, column, disturbance_estimate, rk4
 
 BOUNDS = DisturbanceBounds(k0=2.0, k1=0.0)
 
@@ -226,8 +226,8 @@ def test_gain_condition_check_warns_on_failure(caplog, acc_scenario):
 def test_envelope_sound_and_exponential_decay_along_acc(acc_scenario):
     log = run_closed_loop(acc_scenario, SimConfig(dt=1e-3, t_end=12.0,
                                                   filter_mode="do_icbf"))
-    t = log.column("t")
-    err = np.abs(log.column("dhat0") - log.column("d0"))
+    t = column(log, "t")
+    err = np.abs(column(log, "dhat0") - column(log, "d0"))
     envelope = np.array([error_envelope(acc_scenario.obs_cfg, ti) for ti in t])
     assert float((err - envelope).max()) <= 1e-6
     # constant disturbance: ||e(t2)|| / ||e(t1)|| <= exp(-lam (t2 - t1)) + 1e-3

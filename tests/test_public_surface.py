@@ -5,15 +5,14 @@ import do_icbf
 # Every name the package exports. A new export, or a deleted one, is an edit
 # to this list.
 PUBLIC = {
-    "ACCPredictiveLaw", "AugmentedState", "BarrierChain", "BarrierSpec", "BlowupError",
-    "ClassKFunction", "ConfigurationError", "ContractViolationError", "DisturbanceBounds",
-    "DomainBox", "FilterConstraint", "FilterResult", "LinePath", "NumericalDomainError",
-    "ObserverConfig", "Scenario", "SimConfig", "SplitMix64", "StanleyLaw", "SystemModel",
-    "TrajectoryLog", "ValidityReport", "acc_predicted_output", "acc_rate", "build_acc",
-    "build_bicycle", "build_constraints", "build_example1", "build_scenario",
-    "check_gain_condition", "check_validity", "error_envelope", "finite_diff_gradient",
-    "rk4_step", "run_closed_loop", "sinusoid_disturbance", "solve_multi", "stanley_rate",
-    "stanley_steer", "summarize", "wrap_angle",
+    "AugmentedState", "BarrierChain", "BarrierSpec", "BlowupError", "ClassKFunction",
+    "ConfigurationError", "ContractViolationError", "DisturbanceBounds", "DomainBox",
+    "FilterConstraint", "FilterResult", "NumericalDomainError", "ObserverConfig",
+    "PredictiveCruiseRate", "Scenario", "SimConfig", "SplitMix64", "StanleyRateLaw",
+    "SystemModel", "TrajectoryLog", "ValidityReport", "build_acc", "build_bicycle",
+    "build_constraints", "build_example1", "build_scenario", "check_gain_condition",
+    "check_validity", "error_envelope", "finite_diff_gradient", "rk4_step",
+    "run_closed_loop", "sinusoid_disturbance", "solve_multi", "summarize",
 }
 
 

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BlowupError,
+from do_icbf import (AugmentedState, BarrierChain, BlowupError, ClassKFunction,
                      ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_example1, build_scenario,
                      rk4_step, run_closed_loop, sinusoid_disturbance,
                      summarize)
 from do_icbf.control_laws import ZeroRate
+from oracles import column
 
 
 def test_rk4_zero_rhs():
@@ -91,8 +92,8 @@ def test_zero_dynamics_constant_trajectory():
     log = run_closed_loop(_static_scenario(), SimConfig(dt=0.01, t_end=1.0,
                                                         filter_mode="off"))
     assert log.halt_reason == "completed"
-    assert np.all(log.column("x0") == 0.5)
-    assert np.all(log.column("u0") == 0.0)
+    assert np.all(column(log, "x0") == 0.5)
+    assert np.all(column(log, "u0") == 0.0)
     metrics = summarize(log)
     assert metrics["correction_effort"] == 0.0
 
@@ -107,7 +108,7 @@ def test_log_row_count_invariant(acc_scenario):
         n_steps = int(round(cfg.t_end / cfg.dt))
         extra = 0 if n_steps % stride == 0 else 1
         assert len(log.rows) == expected + extra
-        t = log.column("t")
+        t = column(log, "t")
         assert np.all(np.diff(t) > 0)
 
 
@@ -164,7 +165,13 @@ def test_determinism_bit_identical(acc_scenario, tmp_path):
 
 @pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
 def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
-    for scenario in (acc_scenario, bicycle_scenario):
+    # the built-in chains give their top two levels one rate; a third top
+    # rate shows a kernel that takes the top constraint's rate from below
+    chain = bicycle_scenario.chain
+    top = dataclasses.replace(chain.levels[2], gamma=ClassKFunction.linear(3.0))
+    own_top_rate = dataclasses.replace(
+        bicycle_scenario, chain=BarrierChain(levels=chain.levels[:2] + (top,)))
+    for scenario in (acc_scenario, bicycle_scenario, own_top_rate):
         cfg = SimConfig(dt=1e-3, t_end=1.0, filter_mode=mode)
         fast = run_closed_loop(scenario, cfg)
         generic = run_closed_loop(dataclasses.replace(scenario, fast_loop=False), cfg)
@@ -180,7 +187,7 @@ def test_truncation_on_infeasibility():
     log = run_closed_loop(sc, SimConfig(dt=1e-3, t_end=1.0, filter_mode="do_icbf"))
     assert log.halt_reason == "infeasible"
     assert log.rows[-1][log.header.index("infeasible")] == 1.0
-    assert log.column("t")[-1] < 1.0
+    assert column(log, "t")[-1] < 1.0
     metrics = summarize(log)
     assert metrics["halt_reason"] == "infeasible"
 

@@ -42,7 +42,7 @@ def _partly_free_chain() -> BarrierChain:
     b1 = BarrierSpec(h=lambda x, u: x[1] * u[0], gamma=GAM,
                      grad_x=lambda x, u: np.array([-1.0, u[0] - 2.0 * x[1]]),
                      grad_u=lambda x, u: np.array([x[1], 0.0]), label="b1")
-    return BarrierChain(levels=(b0, b1), gammas=(GAM,))
+    return BarrierChain(levels=(b0, b1))
 
 
 def _observer(e0: float, k1: float) -> ObserverConfig:
