@@ -19,6 +19,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -203,23 +204,80 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _run_mode(scenario, sim: SimConfig, csv: Path) -> tuple:
+    """Simulate, summarize and write the CSV of one mode; returns the log and
+    the mode's (metrics, halt_reason, halt_message)."""
+    log = run_closed_loop(scenario, sim)
+    metrics = summarize(log, scenario)
+    log.write_csv(csv)
+    return log, (metrics, log.halt_reason, log.halt_message)
+
+
+def _fork_mode(scenario, sim: SimConfig, csv: Path) -> tuple:
+    """Start _run_mode in a forked child, which pickles the mode's (metrics,
+    halt_reason, halt_message), or the exception it raised, into a pipe and
+    exits; returns (mode, pid, read end of the pipe)."""
+    sys.stdout.flush()  # nothing the parent buffered may be written twice
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return sim.filter_mode, pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            reply = _run_mode(scenario, sim, csv)[1]
+        except BaseException as exc:
+            reply = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        code = 0
+    finally:
+        os._exit(code)  # no atexit handler, no flush of inherited buffers
+
+
+def _join(mode: str, pid: int, read_fd: int):
+    """Wait for a forked mode; returns what it sent, or a RuntimeError if it
+    died first."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        blob = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        return RuntimeError(f"{mode}: the process running this mode exited with code "
+                            f"{code} before sending its result")
+    return pickle.loads(blob)
+
+
 def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> int:
     """Run, summarize and write the CSV of each mode, then the summary of the
-    `run` or `compare` kind; returns the exit code of the worst halt."""
+    `run` or `compare` kind; returns the exit code of the worst halt.
+
+    Each mode after the first runs at the same time in a forked child, which
+    writes its own CSV and sends back only its metrics and halt, so each
+    process holds one log. Children are joined even when the first mode
+    raises. Output, and an exception a child raised, come in mode order, as
+    from one mode after the other."""
+    csvs = [out / ("trajectory.csv" if command == "run" else f"trajectory_{sim.filter_mode}.csv")
+            for sim in sims]
+    children = [_fork_mode(scenario, sim, csv) for sim, csv in zip(sims[1:], csvs[1:])]
+    try:
+        log, first = _run_mode(scenario, sims[0], csvs[0])
+    finally:
+        replies = [_join(*child) for child in children]
     per_mode = {}
-    for sim in sims:
-        log = run_closed_loop(scenario, sim)
-        metrics = summarize(log, scenario)
-        csv = out / ("trajectory.csv" if command == "run"
-                     else f"trajectory_{sim.filter_mode}.csv")
-        log.write_csv(csv)
+    for sim, reply in zip(sims, [first, *replies]):
+        if isinstance(reply, BaseException):
+            raise reply
+        metrics, halt_reason, halt_message = reply
         per_mode[sim.filter_mode] = metrics
-        if log.halt_reason == "error":
-            print(f"do-icbf: error: {sim.filter_mode}: {log.halt_message}", file=sys.stderr)
+        if halt_reason == "error":
+            print(f"do-icbf: error: {sim.filter_mode}: {halt_message}", file=sys.stderr)
     summary = {"schema": 1, "kind": command, "scenario": scenario.name}
     if command == "run":
         summary.update(filter=sim.filter_mode, metrics=metrics)
-        lines = [f"wrote {csv} ({metrics['steps_logged']} rows, "
+        lines = [f"wrote {csvs[0]} ({metrics['steps_logged']} rows, "
                  f"halt={metrics['halt_reason']})"]
     else:
         summary.update(modes=list(per_mode), per_mode=per_mode)
@@ -352,3 +410,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

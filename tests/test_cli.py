@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -172,13 +173,12 @@ def test_check_config_is_validated_before_writing(tmp_path, capsys):
     assert run_cli("check", "--config", str(cfg)) == EXIT_OK
 
 
-def _entry(*argv, cwd):
+def _entry(*argv, cwd, launch=("-c", "from do_icbf.cli import entry; entry()")):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", "from do_icbf.cli import entry; entry()",
-                           *argv], cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *launch, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_console_entry_exit_codes(tmp_path):
@@ -194,6 +194,103 @@ def test_console_entry_exit_codes(tmp_path):
                   cwd=tmp_path)
     assert proc.returncode == EXIT_INVALID, proc.stderr
     assert (tmp_path / "chk" / "validity.json").exists()
+
+
+def test_module_forms_run_the_cli(tmp_path):
+    argv = ("run", "--scenario", "example1", "--t-end", "0.1")
+    script = _entry(*argv, "--out", str(tmp_path / "script"), cwd=tmp_path)
+    assert script.returncode == EXIT_OK, script.stderr
+    for module in ("do_icbf.cli", "do_icbf"):
+        out = tmp_path / module
+        proc = _entry(*argv, "--out", str(out), cwd=tmp_path, launch=("-m", module))
+        assert proc.returncode == script.returncode, (module, proc.stderr)
+        assert (out / "trajectory.csv").exists(), module
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a compare whose forked child is never joined."""
+    def hung(signum, frame):
+        raise TimeoutError("compare did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("scenario,modes", [("acc", ("do_icbf", "icbf")),
+                                            ("bicycle", ("high_order", "off"))])
+def test_compare_matches_one_run_per_mode(tmp_path, scenario, modes):
+    # the baseline mode runs in a forked child; its CSV and metrics must be
+    # those of its own `run`, and stdout must carry each mode line once
+    cmp_out = tmp_path / "compare"
+    proc = _entry("compare", "--scenario", scenario, "--t-end", "1.5",
+                  "--out", str(cmp_out), cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    summary = validate_summary(cmp_out / "summary.json")
+    assert summary["modes"] == list(modes)
+    for mode in modes:
+        run_out = tmp_path / mode
+        assert run_cli("run", "--scenario", scenario, "--filter", mode, "--t-end", "1.5",
+                       "--out", str(run_out)) == EXIT_OK
+        assert ((cmp_out / f"trajectory_{mode}.csv").read_bytes()
+                == (run_out / "trajectory.csv").read_bytes()), mode
+        assert summary["per_mode"][mode] == load(run_out / "summary.json")["metrics"], mode
+    assert proc.stdout.splitlines() == [
+        f"{mode}: min barrier values " + ", ".join(
+            f"{k}={v:.4g}" for k, v in sorted(summary["per_mode"][mode]["barrier_min"].items()))
+        for mode in modes]
+    assert proc.stdout.endswith("\n") and proc.stderr == ""
+    assert_no_child_left()
+
+
+def test_compare_error_halts_report_in_mode_order(tmp_path, capsys, deadline):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "bicycle", "t_end": 8.0,
+                               "overrides": {"accel": -0.1}, "out": str(tmp_path / "out")}))
+    assert run_cli("compare", "--config", str(cfg)) == EXIT_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[2].strip() for line in lines] == ["high_order", "off"]
+    assert all(line.startswith("do-icbf: error: ") and "speed must be > 0" in line
+               for line in lines)
+    per_mode = load(tmp_path / "out" / "summary.json")["per_mode"]
+    assert {m["halt_reason"] for m in per_mode.values()} == {"error"}
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("blocked", ["icbf", "do_icbf"], ids=["baseline", "filter"])
+def test_compare_unwritable_csv_raises_after_joining(tmp_path, blocked, deadline):
+    (tmp_path / f"trajectory_{blocked}.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        run_cli("compare", "--scenario", "acc", "--t-end", "0.2", "--out", str(tmp_path))
+    assert_no_child_left()
+    # the other mode's CSV is whole; no summary is written
+    other = {"icbf": "do_icbf", "do_icbf": "icbf"}[blocked]
+    rows = (tmp_path / f"trajectory_{other}.csv").read_text().splitlines()
+    assert len(rows) == 1 + round(0.2 / 1e-3) + 1
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline):
+    real = cli.run_closed_loop
+
+    def dies_as_baseline(scenario, sim):
+        if sim.filter_mode == "icbf":
+            os._exit(9)
+        return real(scenario, sim)
+
+    monkeypatch.setattr(cli, "run_closed_loop", dies_as_baseline)
+    with pytest.raises(RuntimeError, match=r"^icbf: .*exited with code 9 "):
+        run_cli("compare", "--scenario", "acc", "--t-end", "0.2", "--out", str(tmp_path))
+    assert_no_child_left()
+    assert (tmp_path / "trajectory_do_icbf.csv").exists()
 
 
 def test_compare_acc_contrast(tmp_path):
