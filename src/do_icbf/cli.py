@@ -394,14 +394,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     # One prepare step: every config error exits 1 here, before anything is
-    # written (ConfigurationError and ContractViolationError are ValueErrors).
+    # written (ConfigurationError and ContractViolationError are ValueErrors;
+    # a builder's arithmetic on a degenerate parameter raises ArithmeticError).
     try:
         cfg = _merge_config(args)
         scenario = _build_from_config(cfg)
         plan = (_check_plan(cfg, scenario) if args.command == "check"
                 else _sim_configs(cfg, scenario, args.command))
         out = _outdir(cfg)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
     if args.command == "check":
         return cmd_check(scenario, *plan, out)

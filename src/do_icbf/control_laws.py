@@ -34,11 +34,14 @@ class PredictiveCruiseRate:
 
     def __init__(self, *, T: float, alpha: float, c0: float, c1: float, mass: float,
                  v_d: float):
-        if T <= 0.0 or c1 <= 0.0 or mass <= 0.0:
+        if not (T > 0.0 and c1 > 0.0 and mass > 0.0):
             raise ContractViolationError(f"need T > 0, c1 > 0, mass > 0; got T={T}, c1={c1}, "
                                          f"mass={mass}")
         self.c0, self.c1, self.mass, self.v_d = c0, c1, mass, v_d
         self._decay = math.exp(-c1 * T / mass)
+        if self._decay == 1.0:  # the gain would divide by zero
+            raise ContractViolationError(f"exp(-c1 T / mass) rounds to 1, so the gain is "
+                                         f"undefined; got T={T}, c1={c1}, mass={mass}")
         self._gain = alpha * c1 / (self._decay - 1.0)
 
     def predicted_output(self, x2: float, u: float) -> float:

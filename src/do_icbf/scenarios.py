@@ -92,6 +92,8 @@ def build_acc(*,
     """
     if horizon <= 0.0:  # the rate law's gain divides by exp(-c1 T / m) - 1
         raise ConfigurationError(f"horizon must be > 0, got {horizon}")
+    if not mass > 0.0:  # the dynamics and the chain's input gradient divide by it
+        raise ConfigurationError(f"mass must be > 0, got {mass}")
     if d_true is None:
         d_true = constant_disturbance(2.0)
         bounds = bounds or DisturbanceBounds(k0=2.0, k1=0.0)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import copy
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +54,9 @@ class SimConfig:
             raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
             raise ConfigurationError(f"t_end must be finite and >= dt, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigurationError(f"t_end / dt must be a finite step count, got "
+                                     f"t_end={self.t_end}, dt={self.dt}")
         if self.log_stride < 1:
             raise ConfigurationError(f"log_stride must be >= 1, got {self.log_stride}")
         if self.filter_mode not in FILTER_MODES:
@@ -102,7 +107,7 @@ class Scenario:
         _, values, _ = build_constraints(
             self.model, self.barriers, self.chain, phi0, x0, u0, d_hat0,
             error_envelope(self.obs_cfg, 0.0))
-        bad = {k: v for k, v in values.items() if v < 0.0}
+        bad = {k: v for k, v in values.items() if not v >= 0.0}  # NaN too
         if bad:
             raise ConfigurationError(
                 f"initial state is outside the safe set: {bad} (all barrier values must be >= 0)"
@@ -124,6 +129,7 @@ class Scenario:
 
 class TrajectoryLog:
     """Time-indexed record of one run; column layout is fixed by the header.
+    `rows` is a (rows, columns) float64 array, one row per logged step.
     `fold` holds what run_closed_loop folds over every step it decides,
     logged or not, keyed as summarize reports it."""
 
@@ -141,7 +147,7 @@ class TrajectoryLog:
             + [f"slack_{lab}" for lab in scenario.constraint_labels]
             + ["c_margin", "infeasible"]
         )
-        self.rows: list = []
+        self.rows = np.empty((0, len(self.header)))
         self.halt_reason = "completed"
         self.halt_message = ""
         self.scenario_name = scenario.name
@@ -151,11 +157,11 @@ class TrajectoryLog:
 
     def write_csv(self, path) -> None:
         """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings."""
-        line = ",".join(["%.17g"] * len(self.header)) + "\n"
+        width = len(self.header)
+        line = ",".join(["%.17g"] * width) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
-            for row in self.rows:
-                fh.write(line % row)
+            fh.writelines(map(line.__mod__, struct.iter_unpack(f"{width}d", self.rows)))
 
 
 def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float) -> Array:
@@ -196,7 +202,8 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
     z, decide, advance = make_kernel(scenario, law, cfg)
     log = TrajectoryLog(scenario, cfg)
-    rows = log.rows
+    rows = array("d")  # the logged rows, packed one after another
+    pack = struct.Struct(f"{len(log.header)}d").pack  # one row's bytes; checks its width
     box = scenario.domain
     lo = [float(v) for v in np.concatenate([box.x_low, box.u_low])]
     hi = [float(v) for v in np.concatenate([box.x_high, box.u_high])]
@@ -241,8 +248,8 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
                         left_domain = True
                         break
             if k % stride == 0 or infeasible or k == n_steps:
-                rows.append((t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks, margin,
-                             1.0 if infeasible else 0.0))
+                rows.frombytes(pack(t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
+                                    margin, 1.0 if infeasible else 0.0))
                 logged = True
             if infeasible:
                 log.halt_reason = "infeasible"
@@ -255,8 +262,9 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     except (ValueError, ArithmeticError) as exc:
         log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"
     if not logged:  # a blowup or error halt: the log ends at the last decided step
-        rows.append((t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks, margin,
-                     0.0))
+        rows.frombytes(pack(t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
+                            margin, 0.0))
+    log.rows = np.frombuffer(rows).reshape(-1, len(log.header))  # a view, no copy
     log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
                 "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
                 "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.e_d0_bound)}
@@ -459,7 +467,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
 def summarize(log: TrajectoryLog, scenario: Optional[Scenario] = None) -> dict:
     """Metrics of a run: the loop's fold over every decided step, which does
     not depend on log_stride, with the halt, the row count and tracking."""
-    if not log.rows:
+    if not len(log.rows):
         raise ContractViolationError("cannot summarize an empty log")
     metrics = dict(log.fold, halt_reason=log.halt_reason, steps_logged=len(log.rows))
     metrics["unsafe"] = any(v < -1e-3 for v in log.fold["barrier_min"].values())

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from do_icbf import cli
@@ -486,6 +487,27 @@ def test_wrong_length_initial_state_is_a_config_error(tmp_path, capsys, scenario
                                "overrides": overrides, "out": str(tmp_path / "out")}))
     assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,fields,message", [
+    ("acc", {"dt": 1e-320}, "t_end / dt must be a finite step count"),
+    ("acc", {"dt": 1e-200, "t_end": 1e200}, "t_end / dt must be a finite step count"),
+    ("acc", {"overrides": {"mass": 0}}, "mass must be > 0"),
+    ("acc", {"overrides": {"horizon": 1e-300}}, "exp(-c1 T / mass) rounds to 1"),
+    ("acc", {"overrides": {"mass": 1e308}}, "exp(-c1 T / mass) rounds to 1"),
+    ("bicycle", {"overrides": {"wheelbase": 0}}, "outside the safe set"),
+], ids=["tiny-dt", "huge-step-count", "zero-mass", "tiny-horizon", "huge-mass",
+        "zero-wheelbase"])
+def test_degenerate_numbers_are_config_errors(tmp_path, capsys, scenario, fields, message):
+    # each is a config error of the prepare step, raised before --out is created
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
+                                    "out": str(tmp_path / "out")}, **fields)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("do-icbf: error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from do_icbf import (AugmentedState, BarrierChain, BlowupError, ClassKFunction,
                      ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
-                     SystemModel, build_acc, build_example1, build_scenario,
+                     SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
                      rk4_step, run_closed_loop, sinusoid_disturbance,
                      summarize)
 from do_icbf.control_laws import ZeroRate
@@ -73,6 +75,10 @@ def test_sim_config_validation():
     # a NaN or infinite step or horizon has no step count
     for dt, t_end in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
         with pytest.raises(ConfigurationError):
+            SimConfig(dt=dt, t_end=t_end)
+    # nor does a finite pair whose quotient overflows
+    for dt, t_end in ((1e-320, 50.0), (1e-200, 1e200)):
+        with pytest.raises(ConfigurationError, match=r"t_end / dt .*t_end=.*dt="):
             SimConfig(dt=dt, t_end=t_end)
 
 
@@ -156,7 +162,7 @@ def test_determinism_bit_identical(acc_scenario, tmp_path):
     cfg = SimConfig(dt=1e-3, t_end=1.0, filter_mode="do_icbf")
     a = run_closed_loop(acc_scenario, cfg)
     b = run_closed_loop(acc_scenario, cfg)
-    assert a.rows == b.rows
+    assert a.rows.tobytes() == b.rows.tobytes()  # bitwise, so -0.0 != 0.0
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_csv(pa)
     b.write_csv(pb)
@@ -192,6 +198,26 @@ def test_truncation_on_infeasibility():
     assert metrics["halt_reason"] == "infeasible"
 
 
+def test_log_is_packed_float64(bicycle_scenario):
+    # one 8-byte double per logged value: a 5 s run retains at most 1.25x the
+    # packed size plus a fixed 64 KiB, where a tuple of floats per row is ~4x
+    cfg = SimConfig(dt=1e-3, t_end=5.0, filter_mode="high_order")
+    run_closed_loop(bicycle_scenario, SimConfig(dt=1e-3, t_end=0.01, filter_mode="high_order"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run_closed_loop(bicycle_scenario, cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows, columns = len(log.rows), len(log.header)
+    assert rows == 5001
+    assert retained <= 1.25 * 8 * columns * rows + 64 * 1024
+    assert log.rows.shape == (rows, columns) and log.rows.dtype == np.float64
+
+
 def test_blowup_truncates_with_reason(acc_scenario):
     # a wildly unstable step size overflows the closed loop
     log = run_closed_loop(acc_scenario, SimConfig(dt=2.0, t_end=2000.0,
@@ -216,12 +242,23 @@ def test_build_acc_checks_and_values(acc_scenario):
     # fail at the first step
     with pytest.raises(ConfigurationError, match="horizon"):
         build_acc(horizon=0.0)
+    # the chain's input gradient is -headway / mass
+    with pytest.raises(ConfigurationError, match="mass must be > 0"):
+        build_acc(mass=0.0)
+    # exp(-c1 T / m) rounds to 1 for a tiny horizon or a huge mass
+    for keyword in ({"horizon": 1e-300}, {"mass": 1e308}):
+        with pytest.raises(ContractViolationError, match="rounds to 1"):
+            build_acc(**keyword)
 
 
 def test_build_bicycle_checks_and_values(bicycle_scenario):
     b0 = bicycle_scenario.chain.levels[0]
     x0 = bicycle_scenario.initial.x
     assert b0.h(x0, np.zeros(1)) == pytest.approx(324.0)
+    # a zero wheelbase makes b1 and b2 NaN at the start, which is no value >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConfigurationError, match="outside the safe set.*'b1': nan"):
+            build_bicycle(wheelbase=0.0)
     # no steering, no turn
     f = bicycle_scenario.model.F(np.array([0.0, 0.0, 0.3, 0.5]), np.zeros(1))
     assert f[2] == 0.0
