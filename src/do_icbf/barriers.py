@@ -65,8 +65,10 @@ class BarrierChain:
     derive them by hand); levels lacking gradients fall back to finite
     differences via BarrierSpec. Level i's gamma_i defines the next level,
     b_{i+1} = bdot_i + gamma_i(b_i) - margin, and the top level's gamma_m
-    enters its own constraint, as a plain barrier's does. Level 0 must be
-    input-free; only the top level needs input authority.
+    enters its own constraint. A plain barrier is the chain with no lower
+    level (m = 0), which build_constraints assembles by the same recurrence;
+    a BarrierChain holds m >= 1. Level 0 must be input-free; only the top
+    level needs input authority.
     """
 
     levels: Sequence[BarrierSpec]

@@ -74,10 +74,13 @@ _INITIAL = (("initial_x", "x0"), ("initial_u", "u0"))
 
 def _number(value, name: str, integer: bool = False):
     """A JSON number as a float, or with integer=True a JSON integer as an int;
-    anything else (a bool too) is a ConfigurationError naming the field."""
+    anything else (a bool, NaN or Infinity too) is a ConfigurationError naming
+    the field."""
     if type(value) not in ((int,) if integer else (int, float)):
         raise ConfigurationError(f"{name} must be {'an integer' if integer else 'a number'}, "
                                  f"got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value if integer else float(value)
 
 

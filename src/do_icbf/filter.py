@@ -16,9 +16,10 @@ least norm is exact. Constraint counts stay tiny (<= 8 enforced), making
 enumeration both exact and fast.
 
 build_constraints is the one place where the deficit, the robustness margin
-and the chain recurrence are assembled into constraints; the closed loop's
-vector kernel, the start-point check and the grid validity checker all call
-it.
+and the chain recurrence are assembled into constraints, a plain barrier being
+the chain with no lower level; a top level takes the margin of the level below
+it, or its own when there is none. The closed loop's vector kernel, the
+start-point check and the grid validity checker all call it.
 """
 
 from __future__ import annotations
@@ -169,20 +170,19 @@ def build_constraints(model: SystemModel,
                       chain: Optional[BarrierChain],
                       phi: Array, x: Array, u: Array, d_hat: Array,
                       envelope: float) -> tuple:
-    """Assemble the per-barrier constraints plus diagnostics.
+    """Assemble one constraint per source plus diagnostics.
 
-    Plain barriers contribute p^T v >= deficit + margin(grad h), with
+    A source is a chain b_0 = h, b_{i+1} = bdot_i + gamma_i(b_i) - margin_i
+    (i < m), and a plain barrier is the chain with m = 0. Its top level b_m
+    contributes p^T v >= deficit + margin, with
 
-        deficit = -( dh/dx (F + ell d_hat) + dh/du phi + gamma(h) )
+        deficit = -( db_m/dx (F + ell d_hat) + db_m/du phi + gamma_m(b_m) )
 
     (positive when the nominal rate alone would let the safety condition
-    fail). A chain b_0 = h, b_{i+1} = bdot_i + gamma_i(b_i) - margin, each
-    level with its own rate, contributes only its top-level constraint, whose
-    deficit takes the top level's rate and whose margin is evaluated on the
-    gradient of the level below (the level whose invariance the top level
-    certifies). Every margin is ||dh/dx ell|| times the observer error
-    envelope E(t) the caller passes in; envelope = 0.0 means no margins.
-    Returns (constraints, barrier_values, margin_max).
+    fail). margin_i = ||db_i/dx ell|| E(t), with the observer error envelope
+    E(t) the caller passes in (0.0 means no margins). The top takes the margin
+    of the level below it, whose invariance it certifies, or its own if m = 0.
+    Returns (constraints, barrier_values, margin_max), plain barriers first.
     """
     fx = np.asarray(model.F(x, u), dtype=float)
     lx = np.asarray(model.ell(x), dtype=float)
@@ -191,34 +191,22 @@ def build_constraints(model: SystemModel,
     values: dict = {}
     margin_max = 0.0
     phi = np.asarray(phi, dtype=float)
-    for spec in barriers:
-        h_val = float(spec.h(x, u))
-        values[spec.label] = h_val
-        gx = np.asarray(spec.grad_x(x, u), dtype=float)
-        p = np.atleast_1d(np.asarray(spec.grad_u(x, u), dtype=float))
-        deficit = -(float(gx @ drift) + float(p @ phi) + spec.gamma(h_val))
-        margin = _channel_margin(gx, lx, envelope)
+    for levels in [(spec,) for spec in barriers] + ([chain.levels] if chain is not None else []):
+        lv = levels[0]  # the level whose value is b; the top one after the loop
+        b = values[lv.label] = float(lv.h(x, u))
+        below_gx = None
+        for nxt in levels[1:]:
+            below_gx = np.asarray(lv.grad_x(x, u), dtype=float)
+            gu = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
+            b = values[nxt.label] = (float(below_gx @ drift) + float(gu @ phi) + lv.gamma(b)
+                                     - _channel_margin(below_gx, lx, envelope))
+            lv = nxt
+        gx = np.asarray(lv.grad_x(x, u), dtype=float)
+        p = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
+        deficit = -(float(gx @ drift) + float(p @ phi) + lv.gamma(b))
+        margin = _channel_margin(gx if below_gx is None else below_gx, lx, envelope)
         margin_max = max(margin_max, margin)
-        constraints.append(FilterConstraint(p, deficit + margin, spec.label, deficit, margin))
-    if chain is not None:
-        levels = chain.levels
-        vals = [float(levels[0].h(x, u))]
-        prev_gx = None
-        for i in range(1, chain.m + 1):
-            prev = levels[i - 1]
-            prev_gx = np.asarray(prev.grad_x(x, u), dtype=float)
-            gu = np.atleast_1d(np.asarray(prev.grad_u(x, u), dtype=float))
-            bdot = float(prev_gx @ drift) + float(gu @ phi)
-            vals.append(bdot + prev.gamma(vals[i - 1]) - _channel_margin(prev_gx, lx, envelope))
-        for label, val in zip(chain.labels, vals):
-            values[label] = val
-        top = levels[chain.m]
-        p = np.atleast_1d(np.asarray(top.grad_u(x, u), dtype=float))
-        gx = np.asarray(top.grad_x(x, u), dtype=float)
-        deficit = -(float(gx @ drift) + float(p @ phi) + top.gamma(vals[chain.m]))
-        margin = _channel_margin(prev_gx, lx, envelope)
-        margin_max = max(margin_max, margin)
-        constraints.append(FilterConstraint(p, deficit + margin, top.label, deficit, margin))
+        constraints.append(FilterConstraint(p, deficit + margin, lv.label, deficit, margin))
     return constraints, values, margin_max
 
 

@@ -217,6 +217,8 @@ def build_bicycle(*,
     """
     L = wheelbase
     x0 = _as_vector(x0, 4, "initial_x")
+    if not wheelbase > 0.0:  # also rejects NaN
+        raise ConfigurationError(f"wheelbase must be > 0, got {wheelbase}")
     if speed <= 0.0:
         raise ConfigurationError(f"speed must be > 0, got {speed}")
 

@@ -356,12 +356,18 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     filter_on = cfg.filter_mode != "off"
     margins = cfg.filter_mode in ("do_icbf", "high_order") or not filter_on
     dt = cfg.dt
-    plain = [(s.h, s.grad_x, s.grad_u, s.gamma.fn) for s in scenario.barriers]
-    chain = scenario.chain
-    if chain is not None:
-        levels = [(s.h, s.grad_x, s.grad_u) for s in chain.levels]
-        gammas = tuple(lv.gamma.fn for lv in chain.levels)
-        m_top = chain.m
+
+    def source(levels, slot):
+        """(constraint slot, h0, lower levels, top level), each level
+        (grad_x, grad_u, gamma); as in build_constraints, a plain barrier is
+        the chain with no lower level."""
+        fns = [(lv.grad_x, lv.grad_u, lv.gamma.fn) for lv in levels]
+        return slot, levels[0].h, tuple(fns[:-1]), fns[-1]
+
+    # In value order, chain levels first; the constraints go plain barriers
+    # first, so each is inserted at its slot.
+    sources = [source(scenario.chain.levels, 0)] if scenario.chain is not None else []
+    sources += [source((s,), i) for i, s in enumerate(scenario.barriers)]
     rng_n = range(n)
     rng_z = range(n + 2)
     idx_u = n
@@ -391,34 +397,20 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         fx = F(x, u)
         drift = [fx[i] + ellc[i] * d_hat for i in rng_n]
         cons = []  # (p, rhs) of each constraint
-        values = []  # plain barriers; the chain levels go in front below
+        values = []
         margin_max = 0.0
-        for h_fn, gx_fn, gu_fn, gamma in plain:
-            h_val = float(h_fn(x, u))
-            values.append(h_val)
-            gx = gx_fn(x, u)
+        for slot, h0, lower, (gx_fn, gu_fn, gamma) in sources:
+            values.append(float(h0(x, u)))
+            below = None  # grad . ell of the level below the top
+            for lgx_fn, lgu_fn, lgamma in lower:
+                dot, below = lie(lgx_fn(x, u), drift)
+                values.append(dot + float(lgu_fn(x, u)[0]) * phi + lgamma(values[-1])
+                              - abs(below) * envelope)
             p_val = float(gu_fn(x, u)[0])
-            dot, row = lie(gx, drift)
-            margin = abs(row) * envelope
+            dot, row = lie(gx_fn(x, u), drift)
+            margin = abs(row if below is None else below) * envelope
             margin_max = max(margin_max, margin)
-            cons.append((p_val, -(dot + p_val * phi + gamma(h_val)) + margin))
-        if chain is not None:
-            vals = [float(levels[0][0](x, u))]
-            below_margin = 0.0
-            for j in range(1, m_top + 1):
-                _, gx_fn, gu_fn = levels[j - 1]
-                dot, row = lie(gx_fn(x, u), drift)
-                below_margin = abs(row) * envelope
-                bdot = dot + float(gu_fn(x, u)[0]) * phi
-                vals.append(bdot + gammas[j - 1](vals[j - 1]) - below_margin)
-            values = vals + values
-            _, gx_fn, gu_fn = levels[m_top]
-            gx = gx_fn(x, u)
-            p_val = float(gu_fn(x, u)[0])
-            dot, _ = lie(gx, drift)
-            margin_max = max(margin_max, below_margin)
-            cons.append((p_val,
-                         -(dot + p_val * phi + gammas[m_top](vals[m_top])) + below_margin))
+            cons.insert(slot, (p_val, -(dot + p_val * phi + gamma(values[-1])) + margin))
         v_star = solve_1d(cons) if filter_on else 0.0
         infeasible = v_star is None
         if infeasible:

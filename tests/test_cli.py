@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import signal
@@ -7,7 +8,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 from do_icbf import cli
@@ -436,11 +436,21 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     ("acc", {"log_stride": "3"}, "log_stride must be an integer"),
     ("acc", {"t_end": "0.01"}, "t_end must be a number"),
     ("acc", {"dt": True}, "dt must be a number"),
+    ("acc", {"overrides": {"alpha": math.nan}}, "overrides.alpha must be finite"),
+    ("acc", {"overrides": {"mass": -math.inf}}, "overrides.mass must be finite"),
+    ("acc", {"overrides": {"initial_x": [0, math.inf, 25]}},
+     "overrides.initial_x[1] must be finite"),
+    ("acc", {"overrides": {"disturbance": {"kind": "constant", "value": math.inf}}},
+     "overrides.disturbance.value must be finite"),
+    ("bicycle", {"overrides": {"wheelbase": math.nan}}, "overrides.wheelbase must be finite"),
+    ("acc", {"t_end": math.inf}, "t_end must be finite"),
 ], ids=["str-keyword", "null-keyword", "bool-keyword", "str-initial-entry",
         "str-initial", "str-disturbance", "bool-disturbance", "float-stride",
-        "str-stride", "str-t_end", "bool-dt"])
+        "str-stride", "str-t_end", "bool-dt", "nan-keyword", "minus-inf-keyword",
+        "inf-initial-entry", "inf-disturbance", "nan-wheelbase", "inf-t_end"])
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, scenario, fields, name):
-    # a JSON true is no number, and a stride is no fraction
+    # a JSON true is no number, a stride is no fraction, and the NaN and
+    # Infinity tokens that Python's json module parses are no finite number
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
                                     "out": str(tmp_path / "out")}, **fields)))
@@ -496,16 +506,18 @@ def test_wrong_length_initial_state_is_a_config_error(tmp_path, capsys, scenario
     ("acc", {"overrides": {"mass": 0}}, "mass must be > 0"),
     ("acc", {"overrides": {"horizon": 1e-300}}, "exp(-c1 T / mass) rounds to 1"),
     ("acc", {"overrides": {"mass": 1e308}}, "exp(-c1 T / mass) rounds to 1"),
-    ("bicycle", {"overrides": {"wheelbase": 0}}, "outside the safe set"),
+    ("bicycle", {"overrides": {"wheelbase": 0}}, "wheelbase must be > 0, got 0"),
+    ("bicycle", {"overrides": {"wheelbase": -1}}, "wheelbase must be > 0, got -1"),
 ], ids=["tiny-dt", "huge-step-count", "zero-mass", "tiny-horizon", "huge-mass",
-        "zero-wheelbase"])
+        "zero-wheelbase", "negative-wheelbase"])
+@pytest.mark.filterwarnings("error")
 def test_degenerate_numbers_are_config_errors(tmp_path, capsys, scenario, fields, message):
     # each is a config error of the prepare step, raised before --out is created
+    # and before any arithmetic that would warn
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
                                     "out": str(tmp_path / "out")}, **fields)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("do-icbf: error: ") and message in err
     assert not (tmp_path / "out").exists()

@@ -177,7 +177,14 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
     top = dataclasses.replace(chain.levels[2], gamma=ClassKFunction.linear(3.0))
     own_top_rate = dataclasses.replace(
         bicycle_scenario, chain=BarrierChain(levels=chain.levels[:2] + (top,)))
-    for scenario in (acc_scenario, bicycle_scenario, own_top_rate):
+    # two plain barriers next to a chain, and two with none, pin the order of
+    # the values (chain levels first) and of the constraints (plain first);
+    # example1 from x0 = 1 also halts infeasible in the filter modes
+    h_u = acc_scenario.barriers[0]
+    loose = dataclasses.replace(h_u, h=lambda x, u: h_u.h(x, u) + 1e6, label="h_u_loose")
+    two_plain = dataclasses.replace(acc_scenario, barriers=(h_u, loose))
+    for scenario in (acc_scenario, bicycle_scenario, own_top_rate, two_plain,
+                     build_example1(x0=(1.0,))):
         cfg = SimConfig(dt=1e-3, t_end=1.0, filter_mode=mode)
         fast = run_closed_loop(scenario, cfg)
         generic = run_closed_loop(dataclasses.replace(scenario, fast_loop=False), cfg)
@@ -255,10 +262,10 @@ def test_build_bicycle_checks_and_values(bicycle_scenario):
     b0 = bicycle_scenario.chain.levels[0]
     x0 = bicycle_scenario.initial.x
     assert b0.h(x0, np.zeros(1)) == pytest.approx(324.0)
-    # a zero wheelbase makes b1 and b2 NaN at the start, which is no value >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ConfigurationError, match="outside the safe set.*'b1': nan"):
-            build_bicycle(wheelbase=0.0)
+    # a zero wheelbase would divide by zero in F and the chain gradients
+    for wheelbase in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigurationError, match="wheelbase must be > 0"):
+            build_bicycle(wheelbase=wheelbase)
     # no steering, no turn
     f = bicycle_scenario.model.F(np.array([0.0, 0.0, 0.3, 0.5]), np.zeros(1))
     assert f[2] == 0.0
