@@ -18,8 +18,11 @@ enumeration both exact and fast.
 build_constraints is the one place where the deficit, the robustness margin
 and the chain recurrence are assembled into constraints, a plain barrier being
 the chain with no lower level; a top level takes the margin of the level below
-it, or its own when there is none. The closed loop's vector kernel, the
-start-point check and the grid validity checker all call it.
+it, or its own when there is none. It is two steps: constraint_terms evaluates
+every callable at the point, and fold_terms folds the recurrence at one
+observer envelope. The closed loop's vector kernel and the start-point check
+call build_constraints; the grid validity checker takes each point's terms
+once and folds them at each distinct envelope.
 """
 
 from __future__ import annotations
@@ -157,12 +160,70 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
     return FilterResult(best, active_labels=active)
 
 
-def _channel_margin(gx: Array, lx: Array, envelope: float) -> float:
-    """Robustness margin ||dh/dx ell(x)|| * envelope(t) of a barrier gradient."""
-    if envelope == 0.0:
-        return 0.0
+def _channel_norm(gx: Array, lx: Array) -> float:
+    """||dh/dx ell(x)|| of a barrier gradient; times E(t) it is the margin."""
     row = gx @ lx
-    return float(np.sqrt(row @ row)) * envelope
+    return float(np.sqrt(row @ row))
+
+
+def constraint_terms(model: SystemModel,
+                     barriers: Sequence[BarrierSpec],
+                     chain: Optional[BarrierChain],
+                     phi: Array, x: Array, u: Array, d_hat: Array,
+                     norms: bool = True) -> list:
+    """The part of build_constraints that does not depend on the envelope.
+
+    One entry per source, plain barriers first:
+    (label_0, b_0, steps, label_m, p, gamma_m, rate_m, norm_m), where
+    rate_i = db_i/dx (F + ell d_hat) + db_i/du phi and each level i below the
+    top gives a step (label_{i+1}, gamma_i, rate_i, ||db_i/dx ell||). norm_m
+    is the norm of the level below the top, or of the top itself if m = 0.
+    With norms=False every norm is None, and only a fold at E = 0, which
+    never reads them, may use the terms.
+    """
+    fx = np.asarray(model.F(x, u), dtype=float)
+    lx = np.asarray(model.ell(x), dtype=float)
+    drift = fx + lx @ d_hat
+    phi = np.asarray(phi, dtype=float)
+    terms = []
+    for levels in [(spec,) for spec in barriers] + ([chain.levels] if chain is not None else []):
+        lv = levels[0]  # the level whose gradients come next; the top one after the loop
+        b0 = float(lv.h(x, u))
+        steps = []
+        norm = None
+        for nxt in levels[1:]:
+            gx = np.asarray(lv.grad_x(x, u), dtype=float)
+            gu = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
+            norm = _channel_norm(gx, lx) if norms else None
+            steps.append((nxt.label, lv.gamma, float(gx @ drift) + float(gu @ phi), norm))
+            lv = nxt
+        gx = np.asarray(lv.grad_x(x, u), dtype=float)
+        p = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
+        if norms and not steps:
+            norm = _channel_norm(gx, lx)
+        terms.append((levels[0].label, b0, steps, lv.label, p, lv.gamma,
+                      float(gx @ drift) + float(p @ phi), norm))
+    return terms
+
+
+def fold_terms(terms: list, envelope: float) -> tuple:
+    """The recurrence of build_constraints at one envelope E, on the terms of
+    constraint_terms: b_{i+1} = (rate_i + gamma_i(b_i)) - margin_i and, at the
+    top, deficit = -(rate_m + gamma_m(b_m)), with margin = norm E (exactly 0.0
+    when E = 0, even for an infinite norm). Returns (rows, values,
+    margin_max) with one (p, deficit, margin, label) row per source."""
+    rows = []
+    values: dict = {}
+    margin_max = 0.0
+    for label0, b, steps, label, p, gamma, rate, norm in terms:
+        values[label0] = b
+        for nxt, gamma_i, rate_i, norm_i in steps:
+            b = values[nxt] = rate_i + gamma_i(b) - (0.0 if envelope == 0.0 else norm_i * envelope)
+        deficit = -(rate + gamma(b))
+        margin = 0.0 if envelope == 0.0 else norm * envelope
+        margin_max = max(margin_max, margin)
+        rows.append((p, deficit, margin, label))
+    return rows, values, margin_max
 
 
 def build_constraints(model: SystemModel,
@@ -182,31 +243,13 @@ def build_constraints(model: SystemModel,
     fail). margin_i = ||db_i/dx ell|| E(t), with the observer error envelope
     E(t) the caller passes in (0.0 means no margins). The top takes the margin
     of the level below it, whose invariance it certifies, or its own if m = 0.
-    Returns (constraints, barrier_values, margin_max), plain barriers first.
+    This is constraint_terms followed by fold_terms at E(t). Returns
+    (constraints, barrier_values, margin_max), plain barriers first.
     """
-    fx = np.asarray(model.F(x, u), dtype=float)
-    lx = np.asarray(model.ell(x), dtype=float)
-    drift = fx + lx @ d_hat
-    constraints = []
-    values: dict = {}
-    margin_max = 0.0
-    phi = np.asarray(phi, dtype=float)
-    for levels in [(spec,) for spec in barriers] + ([chain.levels] if chain is not None else []):
-        lv = levels[0]  # the level whose value is b; the top one after the loop
-        b = values[lv.label] = float(lv.h(x, u))
-        below_gx = None
-        for nxt in levels[1:]:
-            below_gx = np.asarray(lv.grad_x(x, u), dtype=float)
-            gu = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
-            b = values[nxt.label] = (float(below_gx @ drift) + float(gu @ phi) + lv.gamma(b)
-                                     - _channel_margin(below_gx, lx, envelope))
-            lv = nxt
-        gx = np.asarray(lv.grad_x(x, u), dtype=float)
-        p = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
-        deficit = -(float(gx @ drift) + float(p @ phi) + lv.gamma(b))
-        margin = _channel_margin(gx if below_gx is None else below_gx, lx, envelope)
-        margin_max = max(margin_max, margin)
-        constraints.append(FilterConstraint(p, deficit + margin, lv.label, deficit, margin))
+    terms = constraint_terms(model, barriers, chain, phi, x, u, d_hat, envelope != 0.0)
+    rows, values, margin_max = fold_terms(terms, envelope)
+    constraints = [FilterConstraint(p, deficit + margin, label, deficit, margin)
+                   for p, deficit, margin, label in rows]
     return constraints, values, margin_max
 
 
@@ -228,6 +271,15 @@ class ValidityReport:
             indent=2,
             sort_keys=True,
         )
+
+    @staticmethod
+    def merge(parts: Sequence["ValidityReport"]) -> "ValidityReport":
+        """The report of a whole grid from the reports of its blocks, in block
+        order: valid in every block, their counterexamples one after the
+        other, and the smallest relative degree among them."""
+        return ValidityReport(valid=all(part.valid for part in parts),
+                              relative_degree=min(part.relative_degree for part in parts),
+                              counterexamples=[c for part in parts for c in part.counterexamples])
 
 
 def _grid_axes(box: DomainBox, resolution) -> list:
@@ -260,7 +312,8 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
                    box: DomainBox,
                    resolution,
                    obs_cfg: Optional[ObserverConfig] = None,
-                   times: Optional[Sequence[float]] = None) -> ValidityReport:
+                   times: Optional[Sequence[float]] = None,
+                   block: tuple = (0, 1)) -> ValidityReport:
     """Scan a grid for points where the correction has no authority yet is needed.
 
     Wherever ||p|| <= EPS_P the implication requires deficit <= -margin, both
@@ -272,18 +325,28 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
     chains the report also carries the empirical relative degree: the
     smallest level whose input gradient is nonzero somewhere on the grid.
 
+    block=(k, K) scans only the k-th of K contiguous blocks of the state grid
+    in itertools.product order, each state with every input; the reports of
+    blocks 0 .. K-1, joined by ValidityReport.merge, are the report of the
+    whole grid.
+
     Work is shared, never the result: each point evaluates an input gradient
     at most once, E(t) is evaluated once per time, and an input-free point
-    assembles its constraint once per distinct envelope value.
+    evaluates phi and constraint_terms once, then folds the recurrence once
+    per distinct envelope value.
     """
     if times is None:
         if obs_cfg is not None:
             times = [0.0, 5.0 / obs_cfg.lam, 100.0 / obs_cfg.lam]
         else:
             times = [0.0]
+    k, parts = block
+    if not 0 <= k < parts:
+        raise ContractViolationError(f"block: expected (k, K) with 0 <= k < K, got {block}")
     axes = _grid_axes(box, resolution)
     envelopes = [error_envelope(obs_cfg, t) if obs_cfg is not None else 0.0 for t in times]
     distinct = list(dict.fromkeys(envelopes))
+    norms = any(envelope != 0.0 for envelope in distinct)
     d_hat = np.zeros(model.p)
     counterexamples: list = []
 
@@ -291,26 +354,29 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
         """Record the one constraint of specs / chain at each time it needs
         help while (x, u) lies inside its safe set."""
         phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
+        terms = constraint_terms(model, specs, chain, phi_val, x, u, d_hat, norms)
         failing = {}
         for envelope in distinct:
-            (c,), values, _ = build_constraints(model, specs, chain, phi_val, x, u, d_hat,
-                                                envelope)
-            if not min(values.values()) < 0.0 and c.deficit > -c.margin:
-                failing[envelope] = c
+            ((_, deficit, margin, label),), values, _ = fold_terms(terms, envelope)
+            if not min(values.values()) < 0.0 and deficit > -margin:
+                failing[envelope] = (label, deficit, margin)
         for t, envelope in zip(times, envelopes):
-            c = failing.get(envelope)
-            if c is not None:
+            if envelope in failing:
+                label, deficit, margin = failing[envelope]
                 counterexamples.append({
-                    "barrier": c.label, "t": t,
+                    "barrier": label, "t": t,
                     "x": [float(v) for v in x], "u": [float(v) for v in u],
-                    "w": c.deficit, "margin": -c.margin,
+                    "w": deficit, "margin": -margin,
                 })
 
     # Streamed in itertools.product order; only the input grid is held, and
     # each x array serves all of it.
     nx = box.x_low.shape[0]
+    states = math.prod(len(axis) for axis in axes[:nx])
+    block_xs = itertools.islice(itertools.product(*axes[:nx]),
+                                k * states // parts, (k + 1) * states // parts)
     us = [np.array(ut) for ut in itertools.product(*axes[nx:])]
-    points = ((x, u) for x in map(np.array, itertools.product(*axes[:nx])) for u in us)
+    points = ((x, u) for x in map(np.array, block_xs) for u in us)
     if isinstance(target, BarrierChain):
         chain = target
         top = chain.levels[chain.m]

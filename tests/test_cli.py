@@ -1,8 +1,8 @@
+import dataclasses
 import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from do_icbf import cli
+from do_icbf import build_example1, cli
 from do_icbf.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, main)
 
@@ -214,16 +214,11 @@ def assert_no_child_left():
 
 
 @pytest.fixture
-def deadline():
-    """Fail, rather than hang, a compare whose forked child is never joined."""
-    def hung(signum, frame):
-        raise TimeoutError("compare did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+def two_cpus(monkeypatch, forks):
+    """Let compare and check fork as on a host with two CPUs, whatever this
+    host has; returns the list of forks this process makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return forks
 
 
 @pytest.mark.parametrize("scenario,modes", [("acc", ("do_icbf", "icbf")),
@@ -267,11 +262,12 @@ def test_compare_error_halts_report_in_mode_order(tmp_path, capsys, deadline):
 
 
 @pytest.mark.parametrize("blocked", ["icbf", "do_icbf"], ids=["baseline", "filter"])
-def test_compare_unwritable_csv_raises_after_joining(tmp_path, blocked, deadline):
+def test_compare_unwritable_csv_raises_after_joining(tmp_path, blocked, deadline, two_cpus):
     (tmp_path / f"trajectory_{blocked}.csv").mkdir()
     with pytest.raises(IsADirectoryError):
         run_cli("compare", "--scenario", "acc", "--t-end", "0.2", "--out", str(tmp_path))
     assert_no_child_left()
+    assert len(two_cpus) == 1
     # the other mode's CSV is whole; no summary is written
     other = {"icbf": "do_icbf", "do_icbf": "icbf"}[blocked]
     rows = (tmp_path / f"trajectory_{other}.csv").read_text().splitlines()
@@ -279,7 +275,7 @@ def test_compare_unwritable_csv_raises_after_joining(tmp_path, blocked, deadline
     assert not (tmp_path / "summary.json").exists()
 
 
-def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline):
+def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline, two_cpus):
     real = cli.run_closed_loop
 
     def dies_as_baseline(scenario, sim):
@@ -292,6 +288,57 @@ def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline):
         run_cli("compare", "--scenario", "acc", "--t-end", "0.2", "--out", str(tmp_path))
     assert_no_child_left()
     assert (tmp_path / "trajectory_do_icbf.csv").exists()
+
+
+def test_one_cpu_runs_every_command_in_process(tmp_path, monkeypatch, deadline, two_cpus):
+    # the same files whether compare's baseline and check's second block run
+    # in forked children or, on one CPU, here in turn
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        two_cpus.clear()
+        out = tmp_path / str(len(cpus))
+        assert run_cli("compare", "--scenario", "acc", "--t-end", "1.0",
+                       "--out", str(out / "compare")) == EXIT_OK
+        assert run_cli("check", "--scenario", "bicycle", "--out", str(out / "check")) == EXIT_OK
+        assert len(two_cpus) == (2 if len(cpus) > 1 else 0)
+        assert_no_child_left()
+    for name in ("compare/trajectory_do_icbf.csv", "compare/trajectory_icbf.csv",
+                 "compare/summary.json", "check/validity.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+class BlockError(Exception):
+    """Raised by a barrier in one block of a split grid check."""
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_check_error_in_a_block_is_raised_after_joining(tmp_path, monkeypatch, deadline,
+                                                        two_cpus, where):
+    monkeypatch.setattr(cli, "CHECK_POINTS_PER_PROCESS", 1)
+    sc = build_example1()
+    h_x, h_u = sc.barriers
+
+    def h(x, u):  # on the 9 states 0 .. 4, block 1 of 2 holds x >= 2
+        if (x[0] >= 2.0) == (where == "child"):
+            raise BlockError(f"h_x at x = {x[0]}")
+        return h_x.h(x, u)
+
+    targets = [[dataclasses.replace(h_x, h=h), h_u]]
+    with pytest.raises(BlockError, match="h_x at x = "):
+        cli.cmd_check(sc, targets, sc.check_box, 9, None, tmp_path)
+    assert len(two_cpus) == 1
+    assert_no_child_left()
+    assert not (tmp_path / "validity.json").exists()
+
+
+def test_check_has_no_more_blocks_than_states(tmp_path, monkeypatch, deadline, forks):
+    # example1 on a 2 x 9 grid with eight CPUs: two blocks of one state each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(cli, "CHECK_POINTS_PER_PROCESS", 1)
+    cfg = _check_config(tmp_path, {"resolution": [2, 9]}, scenario="example1")
+    assert run_cli("check", "--config", str(cfg)) == EXIT_INVALID
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_compare_acc_contrast(tmp_path):
@@ -444,13 +491,16 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
      "overrides.disturbance.value must be finite"),
     ("bicycle", {"overrides": {"wheelbase": math.nan}}, "overrides.wheelbase must be finite"),
     ("acc", {"t_end": math.inf}, "t_end must be finite"),
+    ("acc", {"overrides": {"mass": 10 ** 400}}, "overrides.mass must be finite"),
 ], ids=["str-keyword", "null-keyword", "bool-keyword", "str-initial-entry",
         "str-initial", "str-disturbance", "bool-disturbance", "float-stride",
         "str-stride", "str-t_end", "bool-dt", "nan-keyword", "minus-inf-keyword",
-        "inf-initial-entry", "inf-disturbance", "nan-wheelbase", "inf-t_end"])
+        "inf-initial-entry", "inf-disturbance", "nan-wheelbase", "inf-t_end",
+        "huge-int-keyword"])
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, scenario, fields, name):
-    # a JSON true is no number, a stride is no fraction, and the NaN and
-    # Infinity tokens that Python's json module parses are no finite number
+    # a JSON true is no number, a stride is no fraction, and neither the NaN
+    # and Infinity tokens that Python's json module parses nor an integer
+    # beyond the range of a float is a finite number
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
                                     "out": str(tmp_path / "out")}, **fields)))

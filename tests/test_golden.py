@@ -10,6 +10,7 @@ unchanged. The float kernel (fast_loop=True) and the vector kernel
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ def test_validity_json_matches_golden_hash(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(CHECK_SHA256))
 def test_configured_check_matches_golden_hash(case, tmp_path, capsys):
+    _configured_check_matches_golden_hash(case, tmp_path)
+
+
+def test_forked_check_matches_golden_hash(tmp_path, monkeypatch, capsys, forks, deadline):
+    # three processes, whatever CPUs this host has: this one scans the first
+    # block of the grid and two forked children the other two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _configured_check_matches_golden_hash("bicycle-fine", tmp_path)
+    assert len(forks) == 2
+
+
+def _configured_check_matches_golden_hash(case, tmp_path):
     check, digest, exit_code, count = CHECK_SHA256[case]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "scenario": case.split("-")[0], "check": check,

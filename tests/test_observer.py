@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierSpec, ClassKFunction,
+from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, ClassKFunction,
                      ConfigurationError, ContractViolationError,
                      DisturbanceBounds, ObserverConfig, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_constraints,
                      check_gain_condition, error_envelope,
                      finite_diff_gradient, run_closed_loop,
-                     sinusoid_disturbance)
+                     filter as qp, sinusoid_disturbance)
 
 from oracles import augmented_rhs, column, disturbance_estimate, rk4
 
@@ -183,6 +183,28 @@ def test_margin_zero_for_perfect_constant_estimate():
     model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (0.0,),
                         ell=lambda x: np.ones((1, 1)))
     assert _margin(cfg, np.ones(1), model, np.zeros(1), 0.0) == 0.0
+
+
+def test_zero_envelope_margin_is_zero_for_an_infinite_gradient():
+    # margin = 0.0 at E = 0, never norm * 0.0, which is NaN for an infinite
+    # norm: in the check's fold of terms whose norms were computed, and in
+    # build_constraints; once E > 0 the margin is the norm times E
+    model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (1.0,), ell=lambda x: np.ones((1, 1)))
+    lower = BarrierSpec(h=lambda x, u: 1.0, gamma=ClassKFunction.linear(1.0),
+                        grad_x=lambda x, u: (math.inf,), grad_u=lambda x, u: (0.0,), label="b0")
+    top = dataclasses.replace(lower, grad_x=lambda x, u: (1.0,), grad_u=lambda x, u: (1.0,),
+                              label="b1")
+    args = (model, (lower,), BarrierChain(levels=(lower, top)), np.zeros(1), np.zeros(1),
+            np.zeros(1), np.zeros(1))
+    terms = qp.constraint_terms(*args)
+    rows, values, margin_max = qp.fold_terms(terms, 0.0)
+    assert [row[2] for row in rows] == [0.0, 0.0] and margin_max == 0.0
+    assert values == {"b0": 1.0, "b1": math.inf}  # inf drift + gamma(1) - 0.0
+    rows, values, margin_max = qp.fold_terms(terms, 0.5)
+    assert [row[2] for row in rows] == [math.inf, math.inf] and margin_max == math.inf
+    assert math.isnan(values["b1"])  # inf - inf
+    constraints, _, margin_max = build_constraints(*args, 0.0)
+    assert [c.margin for c in constraints] == [0.0, 0.0] and margin_max == 0.0
 
 
 def test_margin_nonnegative_random():

@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from do_icbf import (BarrierChain, BarrierSpec, ClassKFunction, DisturbanceBounds,
-                     DomainBox, ObserverConfig, SplitMix64, SystemModel, build_acc,
-                     build_bicycle, build_example1, check_validity, error_envelope,
-                     filter as qp, sinusoid_disturbance)
+from do_icbf import (BarrierChain, BarrierSpec, ClassKFunction, ContractViolationError,
+                     DisturbanceBounds, DomainBox, ObserverConfig, SplitMix64, SystemModel,
+                     ValidityReport, build_acc, build_bicycle, build_example1,
+                     check_validity, error_envelope, filter as qp, sinusoid_disturbance)
 
 from oracles import reference_check_validity
 
@@ -127,26 +127,84 @@ def test_the_equivalence_cases_reach_counterexamples_that_depend_on_the_time():
     assert {len(failing) for failing in per_point.values()} == {1, 2, 3}
 
 
+def _one_sided_barrier() -> BarrierSpec:
+    """h = 2 - x0 - max(x0, 0) u0: input authority only where x0 > 0, so
+    blocks of the state grid differ in relative degree."""
+    return BarrierSpec(h=lambda x, u: 2.0 - x[0] - max(x[0], 0.0) * u[0], gamma=GAM,
+                       grad_x=lambda x, u: np.array([-1.0 - (u[0] if x[0] > 0.0 else 0.0), 0.0]),
+                       grad_u=lambda x, u: np.array([-max(x[0], 0.0), 0.0]), label="h")
+
+
+def _split_case(kind: str) -> tuple:
+    """(target, model, obs_cfg, box, resolution, times) of one split case."""
+    if kind in ("acc-chain", "acc-force"):
+        sc = build_acc()
+        target = sc.chain if kind == "acc-chain" else list(sc.barriers)
+        return target, sc.model, sc.obs_cfg, sc.check_box, [3, 5, 7, 7], None
+    if kind == "bicycle":
+        sc = build_bicycle()
+        return sc.chain, sc.model, sc.obs_cfg, sc.check_box, 9, None
+    if kind == "example1":  # 5 states: K = 7 leaves two blocks empty
+        sc = build_example1()
+        return list(sc.barriers), sc.model, sc.obs_cfg, sc.check_box, [5, 9], [0.0, 1.0]
+    target = _partly_free_chain() if kind == "partly-free-chain" else _one_sided_barrier()
+    return target, _two_input_model(), _observer(1.5, 0.5), BOX2, 5, [0.0, 8.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", ["acc-chain", "acc-force", "bicycle", "example1",
+                                  "partly-free-chain", "one-sided"])
+def test_block_reports_merge_into_the_whole_grid_report(kind):
+    target, model, obs, box, resolution, times = _split_case(kind)
+
+    def phi(x, u):
+        return np.array([0.5 * x[0]] * model.m)
+
+    whole = check_validity(target, model, phi, box, resolution, obs_cfg=obs, times=times)
+    for parts in (1, 2, 3, 7):
+        blocks = [check_validity(target, model, phi, box, resolution, obs_cfg=obs, times=times,
+                                 block=(k, parts)) for k in range(parts)]
+        assert ValidityReport.merge(blocks) == whole, parts
+    # the merge has counterexamples to order, and degrees to take the least of
+    assert bool(whole.counterexamples) == (kind not in ("acc-chain", "acc-force"))
+    if kind == "one-sided":
+        assert [b.relative_degree for b in blocks] == [1, 1, 1, 1, 0, 0, 0]
+    for bad in ((2, 2), (-1, 2), (0, 0)):
+        with pytest.raises(ContractViolationError, match="block"):
+            check_validity(target, model, phi, box, resolution, obs_cfg=obs, block=bad)
+
+
 class _Counts:
-    """Wraps the specs of a target, phi and build_constraints, and counts
-    each input-gradient call made outside build_constraints per point."""
+    """Wraps the specs of a target, phi, constraint_terms and fold_terms.
+    Counts each input-gradient call made outside constraint_terms per point,
+    and records the envelopes folded on the terms of each pass, which must
+    be the terms of the latest pass."""
 
     def __init__(self, monkeypatch):
         self.grad_u = collections.defaultdict(collections.Counter)  # label -> (x, u) -> calls
         self.phi = 0
-        self.builds = 0
-        self.envelopes = collections.Counter()
+        self.folds = []  # one list of folded envelopes per constraint_terms pass
         self._inside = False
-        real = qp.build_constraints
+        self._terms = None
+        real_terms, real_fold = qp.constraint_terms, qp.fold_terms
 
-        def build_constraints(*args):
-            self.builds += 1
-            self.envelopes[args[-1]] += 1
+        def constraint_terms(*args):
             self._inside = True
             try:
-                return real(*args)
+                self._terms = real_terms(*args)
             finally:
                 self._inside = False
+            self.folds.append([])
+            return self._terms
+
+        def fold_terms(terms, envelope):
+            assert terms is self._terms
+            self.folds[-1].append(envelope)
+            return real_fold(terms, envelope)
+
+        def build_constraints(*args):
+            raise AssertionError("the check assembles through constraint_terms and fold_terms")
+        monkeypatch.setattr(qp, "constraint_terms", constraint_terms)
+        monkeypatch.setattr(qp, "fold_terms", fold_terms)
         monkeypatch.setattr(qp, "build_constraints", build_constraints)
 
     def spec(self, spec):
@@ -173,24 +231,27 @@ def test_check_evaluates_each_point_once_and_each_envelope_once(monkeypatch, tim
     phi = counts.wrap_phi(lambda x, u: np.zeros(2))
     resolution = [5, 5, 3, 3]
     points = 5 * 5 * 3 * 3
-    check_validity(chain, _two_input_model(), phi, BOX2, resolution,
-                   obs_cfg=_observer(3.0, 0.5), times=times)
+    obs = _observer(3.0, 0.5)
+    check_validity(chain, _two_input_model(), phi, BOX2, resolution, obs_cfg=obs, times=times)
     # the top level is evaluated exactly once at every point, level 0 at most once
     assert len(counts.grad_u["b1"]) == points
     assert set(counts.grad_u["b1"].values()) == {1}
     assert set(counts.grad_u["b0"].values()) == {1}
-    # phi once and one assembly per distinct envelope at each input-free point
+    # at each input-free point phi and the envelope-free pass run once, and
+    # the pass is folded once at each distinct envelope, in order of the times
     free = points // 5  # the x1 = 0 slice
     assert counts.phi == free
-    assert counts.builds == free * distinct
-    assert len(counts.envelopes) == distinct
-    assert set(counts.envelopes.values()) == {free}
+    assert len(counts.folds) == free
+    envelopes = list(dict.fromkeys(error_envelope(obs, t) for t in times or
+                                   [0.0, 5.0 / obs.lam, 100.0 / obs.lam]))
+    assert len(envelopes) == distinct
+    assert all(folded == envelopes for folded in counts.folds)
 
 
 def test_check_assembles_once_per_input_free_point_on_bicycle(monkeypatch):
-    # bicycle's envelope is 0 at all three default times: one assembly each
+    # bicycle's envelope is 0 at all three default times: one fold each
+    sc = build_bicycle()  # before the counters: building assembles the start point
     counts = _Counts(monkeypatch)
-    sc = build_bicycle()
     chain = dataclasses.replace(sc.chain, levels=tuple(counts.spec(lv) for lv in sc.chain.levels))
     phi = counts.wrap_phi(lambda x, u: (0.0,))
     check_validity(chain, sc.model, phi, sc.check_box, 3, obs_cfg=sc.obs_cfg)
@@ -199,12 +260,12 @@ def test_check_assembles_once_per_input_free_point_on_bicycle(monkeypatch):
         assert set(counts.grad_u[label].values()) == {1}
     assert len(counts.grad_u["b2"]) == 3 ** 5
     assert counts.phi > 0
-    assert counts.builds == counts.phi
+    assert counts.folds == [[0.0]] * counts.phi
 
 
 def test_plain_check_evaluates_each_gradient_once_per_point(monkeypatch):
+    sc = build_example1()  # before the counters: building assembles the start point
     counts = _Counts(monkeypatch)
-    sc = build_example1()
     specs = [counts.spec(s) for s in sc.barriers]
     phi = counts.wrap_phi(lambda x, u: (0.0,))
     report = check_validity(specs, sc.model, phi, sc.check_box, 9, obs_cfg=sc.obs_cfg,
@@ -212,5 +273,7 @@ def test_plain_check_evaluates_each_gradient_once_per_point(monkeypatch):
     for spec in sc.barriers:
         assert len(counts.grad_u[spec.label]) == 81
         assert set(counts.grad_u[spec.label].values()) == {1}
-    assert counts.builds == counts.phi  # example1's envelope is 0 at every time
+    # example1's envelope is 0 at every time: one pass and one fold per
+    # input-free barrier at a point
+    assert counts.folds == [[0.0]] * counts.phi
     assert not report.valid
