@@ -32,43 +32,49 @@ _FD_STEP = 1e-6
 class BarrierSpec:
     """Scalar barrier h(x, u) with gradients and its class-K rate.
 
-    Gradients left as None are filled in with central finite differences of h;
-    analytic gradients are preferred wherever the scenario can supply them.
+    Gradients left as None are central finite differences of h. A chain level
+    above b_0 is the recurrence from the level below and has no value of its
+    own: h = None, and then both gradients must be given.
     """
 
-    h: Callable[[Array, Array], float]
+    h: Optional[Callable[[Array, Array], float]]
     gamma: ClassKFunction
     grad_x: Optional[Callable[[Array, Array], Array]] = None
     grad_u: Optional[Callable[[Array, Array], Array]] = None
     label: str = "h"
 
     def __post_init__(self):
+        fn = self.h
+        if fn is None and (self.grad_x is None or self.grad_u is None):
+            raise ConfigurationError(f"barrier {self.label!r} has no value h to take finite "
+                                     f"differences of, so it needs both grad_x and grad_u")
         if self.grad_x is None:
-            fn = self.h
-            object.__setattr__(
-                self, "grad_x",
-                lambda x, u: finite_diff_gradient(lambda xv: fn(xv, u), x, _FD_STEP),
-            )
+            object.__setattr__(self, "grad_x", lambda x, u: finite_diff_gradient(
+                lambda xv: fn(xv, u), x, _FD_STEP))
         if self.grad_u is None:
-            fn = self.h
-            object.__setattr__(
-                self, "grad_u",
-                lambda x, u: finite_diff_gradient(lambda uv: fn(x, uv), u, _FD_STEP),
-            )
+            object.__setattr__(self, "grad_u", lambda x, u: finite_diff_gradient(
+                lambda uv: fn(x, uv), u, _FD_STEP))
+
+
+def require_values(specs: Sequence[BarrierSpec], role: str) -> None:
+    """A plain barrier and a chain's b_0 are evaluated, not derived: raise
+    ConfigurationError unless each of specs has its value h."""
+    for spec in specs:
+        if spec.h is None:
+            raise ConfigurationError(f"{role} {spec.label!r} has no value h")
 
 
 @dataclass(frozen=True)
 class BarrierChain:
     """Ordered chain b_0 ... b_m, each level owning its class-K rate.
 
-    Every level is user-supplied with value and gradients (the benchmarks
-    derive them by hand); levels lacking gradients fall back to finite
-    differences via BarrierSpec. Level i's gamma_i defines the next level,
-    b_{i+1} = bdot_i + gamma_i(b_i) - margin, and the top level's gamma_m
-    enters its own constraint. A plain barrier is the chain with no lower
-    level (m = 0), which build_constraints assembles by the same recurrence;
-    a BarrierChain holds m >= 1. Level 0 must be input-free; only the top
-    level needs input authority.
+    Level 0 carries its value b_0 = h. Each level above is the recurrence
+    b_{i+1} = bdot_i + gamma_i(b_i) - margin from the level below and carries
+    only its gradients (h = None; a value given is never read), its rate and
+    its label. The top level's gamma_m enters its own constraint. A plain
+    barrier is the chain with no lower level (m = 0), which build_constraints
+    assembles by the same recurrence; a BarrierChain holds m >= 1. Level 0
+    must be input-free; only the top level needs input authority.
     """
 
     levels: Sequence[BarrierSpec]
@@ -77,6 +83,7 @@ class BarrierChain:
         object.__setattr__(self, "levels", tuple(self.levels))
         if len(self.levels) < 2:
             raise ConfigurationError("a chain needs at least levels b_0 and b_1")
+        require_values(self.levels[:1], "chain level 0")
         if len(set(self.labels)) != len(self.levels):
             raise ConfigurationError(f"chain level labels must be distinct, got {self.labels}")
 

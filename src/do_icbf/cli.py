@@ -51,27 +51,48 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
-def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    if cfg.get("schema") != 1:
-        raise ConfigurationError("config must declare \"schema\": 1")
-    return cfg
+# The keys of a config, whatever the command, of its `check` and of an acc
+# disturbance of each kind (all but "phase" required).
+CONFIG_KEYS = ("schema", "scenario", "filter", "baseline", "dt", "t_end", "log_stride", "out",
+               "emit_plot", "overrides", "check")
+CHECK_KEYS = ("resolution", "times", "barriers")
+DISTURBANCE_KEYS = {"constant": ("kind", "value"),
+                    "sinusoid": ("kind", "amplitude", "omega", "phase")}
+
+
+def _json_object(value, name: str, accepted, required=(),
+                 unknown: str = "{name} key(s) {keys}") -> dict:
+    """value if it is a JSON object with the required keys and no key outside
+    accepted; else a ConfigurationError naming the field or the unknown keys."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
+    keys = ", ".join(map(repr, sorted(set(value) - set(accepted))))
+    if keys:
+        raise ConfigurationError(f"unknown {unknown.format(name=name, keys=keys)}; "
+                                 f"accepted: {', '.join(sorted(accepted))}")
+    for key in required:
+        if key not in value:
+            raise ConfigurationError(f"{name}.{key} is required")
+    return value
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {"schema": 1}
+    cfg: dict = {}
     if args.config:
-        cfg.update(load_config(args.config))
-    for key in ("scenario", "filter", "baseline", "dt", "t_end", "out"):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = _json_object(json.load(fh), "config", CONFIG_KEYS)
+        if type(cfg.get("schema")) is not int or cfg["schema"] != 1:  # a JSON true is no 1
+            raise ConfigurationError("config must declare \"schema\": 1")
+    for key in ("scenario", "filter", "baseline", "dt", "t_end", "out", "emit_plot"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    if getattr(args, "emit_plot", False):
-        cfg["emit_plot"] = True
     if "scenario" not in cfg:
         raise ConfigurationError("no scenario given (use --scenario or a config file)")
+    for key, kind in (("scenario", str), ("filter", str), ("baseline", str), ("out", str),
+                      ("emit_plot", bool)):
+        if key in cfg and type(cfg[key]) is not kind:
+            raise ConfigurationError(f"{key} must be {'a string' if kind is str else 'a bool'}, "
+                                     f"got {cfg[key]!r}")
     return cfg
 
 
@@ -99,7 +120,6 @@ def _build_from_config(cfg: dict):
     name = cfg["scenario"]
     if name not in BUILDERS:
         raise ConfigurationError(f"unknown scenario {name!r}; available: {sorted(BUILDERS)}")
-    overrides = dict(cfg.get("overrides", {}))
     params = inspect.signature(BUILDERS[name]).parameters
     # JSON reaches the numeric keywords; initial_x / initial_u rename x0 / u0,
     # offered where the builder has them
@@ -107,10 +127,8 @@ def _build_from_config(cfg: dict):
     accepted |= {field for field, param in _INITIAL if param in params}
     if name == "acc":
         accepted.add("disturbance")
-    unknown = sorted(set(overrides) - accepted)
-    if unknown:
-        raise ConfigurationError(f"unknown override {', '.join(map(repr, unknown))} for "
-                                 f"scenario {name!r}; accepted: {', '.join(sorted(accepted))}")
+    overrides = dict(_json_object(cfg.get("overrides", {}), "overrides", accepted,
+                                  unknown=f"override {{keys}} for scenario {name!r}"))
     dist = overrides.pop("disturbance", None)
     for key, value in overrides.items():
         if key not in ("initial_x", "initial_u"):
@@ -121,23 +139,22 @@ def _build_from_config(cfg: dict):
         else:
             raise ConfigurationError(f"overrides.{key} must be a list of numbers, got {value!r}")
     if dist is not None:
-        if not isinstance(dist, dict):
-            raise ConfigurationError(f"overrides.disturbance must be a JSON object, got {dist!r}")
-        num = {key: _number(dist[key], f"overrides.disturbance.{key}")
-               for key in ("value", "amplitude", "omega", "phase") if key in dist}
-        kind = dist.get("kind")
+        kind = dist.get("kind") if isinstance(dist, dict) else None
+        if isinstance(dist, dict) and kind not in ("constant", "sinusoid"):
+            raise ConfigurationError(f"overrides.disturbance.kind must be \"constant\" or "
+                                     f"\"sinusoid\", got {kind!r}")
+        accepted = DISTURBANCE_KEYS.get(kind, ())
+        required = [key for key in accepted if key != "phase"]
+        num = {key: _number(v, f"overrides.disturbance.{key}") for key, v in
+               _json_object(dist, "overrides.disturbance", accepted, required).items()
+               if key != "kind"}
         if kind == "constant":
-            value = num["value"]
-            overrides["d_true"] = constant_disturbance(value)
-            overrides["bounds"] = DisturbanceBounds(k0=abs(value), k1=0.0)
-        elif kind == "sinusoid":
-            amp = num["amplitude"]
-            omega = num["omega"]
-            phase = num.get("phase", 0.0)
-            overrides["d_true"] = sinusoid_disturbance(amp, omega, phase)
-            overrides["bounds"] = DisturbanceBounds(k0=abs(amp), k1=abs(amp * omega))
+            overrides["d_true"] = constant_disturbance(num["value"])
+            overrides["bounds"] = DisturbanceBounds(k0=abs(num["value"]), k1=0.0)
         else:
-            raise ConfigurationError(f"unknown disturbance kind {kind!r}")
+            amp, omega = num["amplitude"], num["omega"]
+            overrides["d_true"] = sinusoid_disturbance(amp, omega, num.get("phase", 0.0))
+            overrides["bounds"] = DisturbanceBounds(k0=abs(amp), k1=abs(amp * omega))
     for field_name, param in _INITIAL:
         if field_name in overrides:
             overrides[param] = overrides.pop(field_name)
@@ -173,9 +190,7 @@ def _check_plan(cfg: dict, scenario) -> tuple:
     Targets come chain first, then the plain barriers; any label of the
     chain selects the whole chain. Without `barriers` every label is wanted.
     """
-    check = cfg.get("check", {})
-    if not isinstance(check, dict):
-        raise ConfigurationError(f"check must be a JSON object, got {check!r}")
+    check = _json_object(cfg.get("check", {}), "check", CHECK_KEYS)
     accepted = scenario.value_labels
     wanted = check.get("barriers", accepted)
     if not (isinstance(wanted, list) and wanted and all(lab in accepted for lab in wanted)):
@@ -428,7 +443,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one scenario and write CSV + summary")
     common(p_run, simulates=True)
-    p_run.add_argument("--emit-plot", action="store_true",
+    p_run.add_argument("--emit-plot", action="store_true", default=None,
                        help="also write a gnuplot script plot.gp")
 
     p_check = sub.add_parser("check", help="grid-check barrier validity")

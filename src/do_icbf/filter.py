@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .barriers import EPS_P, BarrierChain, BarrierSpec, DomainBox
+from .barriers import EPS_P, BarrierChain, BarrierSpec, DomainBox, require_values
 from .errors import ConfigurationError, ContractViolationError
 from .model import Array, SystemModel
 from .observer import ObserverConfig, error_envelope
@@ -393,6 +393,7 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
         specs = [target] if isinstance(target, BarrierSpec) else list(target)
         if not specs:
             raise ConfigurationError("no barriers to check")
+        require_values(specs, "plain barrier")
         has_authority = False
         for x, u in points:
             free = [spec for spec in specs if _input_free(spec, x, u)]

@@ -112,25 +112,15 @@ def build_acc(*,
 
     model = SystemModel(n=3, m=1, p=1, F=F, ell=ell, d_true=d_true)
 
-    # Headway barrier h_x = x3 - headway*x2 and its degree-1 chain level
-    # h_e = grad(h_x) . F(x,u) + gamma * h_x (the d_hat and margin parts are
-    # supplied by the chain machinery at evaluation time).
+    # Headway barrier h_x = x3 - headway*x2; its degree-1 chain level h_e is
+    # the recurrence, given by its gradients alone.
     hx_grad = (0.0, -headway, 1.0)
     zero_u = (0.0,)
     zero_x = (0.0, 0.0, 0.0)
 
-    def h_x(x, u):
-        return x[2] - headway * x[1]
-
-    level0 = BarrierSpec(h=h_x, gamma=ClassKFunction.linear(gamma),
-                         grad_x=lambda x, u: hx_grad, grad_u=lambda x, u: zero_u,
-                         label="h_x")
-
-    def h_e(x, u):
-        x2 = x[1]
-        fr = c0 + c1 * x2 + c2 * x2 * x2
-        return (-headway * (u[0] - fr) / mass + (v0 - x2)
-                + gamma * (x[2] - headway * x2))
+    level0 = BarrierSpec(h=lambda x, u: x[2] - headway * x[1],
+                         gamma=ClassKFunction.linear(gamma),
+                         grad_x=lambda x, u: hx_grad, grad_u=lambda x, u: zero_u, label="h_x")
 
     he_grad_u = (-headway / mass,)
 
@@ -139,9 +129,8 @@ def build_acc(*,
         return (0.0, headway * (c1 + 2.0 * c2 * x2) / mass - 1.0 - headway * gamma,
                 gamma)
 
-    level1 = BarrierSpec(h=h_e, gamma=ClassKFunction.linear(gamma),
-                         grad_x=h_e_grad_x, grad_u=lambda x, u: he_grad_u,
-                         label="h_e")
+    level1 = BarrierSpec(h=None, gamma=ClassKFunction.linear(gamma), grad_x=h_e_grad_x,
+                         grad_u=lambda x, u: he_grad_u, label="h_e")
     chain = BarrierChain(levels=(level0, level1))
 
     # Wheel-force barrier h_u = (m c g)^2 - u^2.
@@ -238,16 +227,10 @@ def build_bicycle(*,
     r2 = obstacle_radius * obstacle_radius
     zero_u = (0.0,)
 
-    def b0(x, u):
-        return x[0] * x[0] + x[1] * x[1] - r2
-
     def b0_grad_x(x, u):
         return (2.0 * x[0], 2.0 * x[1], 0.0, 0.0)
 
-    def b1(x, u):
-        radial = x[0] * math.cos(x[2]) + x[1] * math.sin(x[2])
-        return 2.0 * x[3] * radial + gamma1 * b0(x, u)
-
+    # b1 and b2 are the chain recurrence, given by their gradients alone.
     def b1_grad_x(x, u):
         c, s = math.cos(x[2]), math.sin(x[2])
         v = x[3]
@@ -255,15 +238,6 @@ def build_bicycle(*,
                 2.0 * v * s + 2.0 * gamma1 * x[1],
                 2.0 * v * (x[1] * c - x[0] * s),
                 2.0 * (x[0] * c + x[1] * s))
-
-    def b2(x, u):
-        c, s = math.cos(x[2]), math.sin(x[2])
-        v = x[3]
-        radial = x[0] * c + x[1] * s
-        cross = x[1] * c - x[0] * s
-        return (2.0 * v * v + 2.0 * gamma1 * v * radial
-                + (2.0 * v * v * math.tan(u[0]) / L) * cross
-                + 2.0 * accel * radial + gamma2 * b1(x, u))
 
     def b2_grad_x(x, u):
         c, s = math.cos(x[2]), math.sin(x[2])
@@ -293,11 +267,11 @@ def build_bicycle(*,
     gam = ClassKFunction.linear
     chain = BarrierChain(
         levels=(
-            BarrierSpec(h=b0, gamma=gam(gamma1), grad_x=b0_grad_x,
-                        grad_u=lambda x, u: zero_u, label="b0"),
-            BarrierSpec(h=b1, gamma=gam(gamma2), grad_x=b1_grad_x,
+            BarrierSpec(h=lambda x, u: x[0] * x[0] + x[1] * x[1] - r2, gamma=gam(gamma1),
+                        grad_x=b0_grad_x, grad_u=lambda x, u: zero_u, label="b0"),
+            BarrierSpec(h=None, gamma=gam(gamma2), grad_x=b1_grad_x,
                         grad_u=lambda x, u: zero_u, label="b1"),
-            BarrierSpec(h=b2, gamma=gam(gamma2), grad_x=b2_grad_x,
+            BarrierSpec(h=None, gamma=gam(gamma2), grad_x=b2_grad_x,
                         grad_u=b2_grad_u, label="b2"),
         ),
     )

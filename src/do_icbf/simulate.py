@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierChain, BarrierSpec, DomainBox
+from .barriers import BarrierChain, BarrierSpec, DomainBox, require_values
 from .errors import BlowupError, ConfigurationError, ContractViolationError
 from .filter import build_constraints, solve_1d, solve_multi
 from .model import Array, AugmentedState, SystemModel, _as_vector
@@ -93,6 +93,7 @@ class Scenario:
     def __post_init__(self):
         for name, size in (("x", self.model.n), ("u", self.model.m), ("r", self.model.p)):
             _as_vector(getattr(self.initial, name), size, f"initial.{name}")
+        require_values(self.barriers, "plain barrier")
         labels = self.value_labels
         repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
         if repeated:

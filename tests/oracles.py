@@ -11,7 +11,10 @@ included, for comparison against a step of the simulator's kernels.
 reference_check_validity is the plain per-point grid scan of the validity
 checker: every time and every point evaluated on its own, nothing shared.
 
-column reads one named column of a TrajectoryLog from its rows."""
+column reads one named column of a TrajectoryLog from its rows.
+
+level_values and gradient_error compare a scenario's analytic barrier
+gradients with central differences of the values the filter evaluates."""
 
 import itertools
 
@@ -19,7 +22,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
-                     ValidityReport, build_constraints, error_envelope)
+                     ValidityReport, build_constraints, error_envelope,
+                     finite_diff_gradient)
 from do_icbf.barriers import EPS_P
 from do_icbf.filter import _grid_axes
 
@@ -30,6 +34,38 @@ def column(log, name):
     """The values of one header column over every logged row."""
     i = log.header.index(name)
     return np.array([row[i] for row in log.rows])
+
+
+def level_values(scenario):
+    """(spec, value) for each plain barrier and chain level of a scenario,
+    where value(x, u) is what the filter evaluates at phi = 0, d_hat = 0 and
+    E = 0: h for a plain barrier and for level 0, and above level 0 the
+    chain recurrence as build_constraints assembles it."""
+    model = scenario.model
+    chain = scenario.chain
+
+    def recurrence(label):
+        return lambda x, u: build_constraints(model, (), chain, np.zeros(model.m), x, u,
+                                              np.zeros(model.p), 0.0)[1][label]
+
+    pairs = [(spec, spec.h) for spec in scenario.barriers]
+    if chain is not None:
+        pairs += [(chain.levels[0], chain.levels[0].h)]
+        pairs += [(lv, recurrence(lv.label)) for lv in chain.levels[1:]]
+    return pairs
+
+
+def gradient_error(spec, value, x, u, step=1e-5):
+    """The larger of the relative errors of spec's analytic grad_x and grad_u
+    at (x, u) against central differences of value."""
+    worst = 0.0
+    for analytic, numeric in (
+            (spec.grad_x(x, u), finite_diff_gradient(lambda v: float(value(v, u)), x, step)),
+            (spec.grad_u(x, u), finite_diff_gradient(lambda v: float(value(x, v)), u, step))):
+        analytic = np.atleast_1d(np.asarray(analytic, dtype=float))
+        worst = max(worst, float(np.linalg.norm(analytic - numeric))
+                    / max(1.0, float(np.linalg.norm(analytic))))
+    return worst
 
 
 def random_instances(rng, count):

@@ -9,6 +9,8 @@ from do_icbf import (BarrierChain, BarrierSpec, ClassKFunction,
                      SplitMix64, SystemModel, build_constraints,
                      check_validity, finite_diff_gradient)
 
+from oracles import gradient_error, level_values
+
 GAM = ClassKFunction.linear(1.0)
 
 
@@ -34,14 +36,18 @@ def test_input_gradient_force_barrier(acc_scenario):
 
 
 def test_input_gradient_bicycle_top_level_matches_fd(bicycle_scenario):
+    # against central differences of the recurrence value b2 that the same
+    # assembly evaluates
     sc = bicycle_scenario
-    b2 = sc.chain.levels[2]
     x = sc.initial.x
     u = sc.initial.u
-    (c,), _, _ = build_constraints(sc.model, (), sc.chain, np.zeros(1), x, u, np.zeros(1),
-                                   0.0)
+
+    def assemble(uv):
+        return build_constraints(sc.model, (), sc.chain, np.zeros(1), x, uv, np.zeros(1), 0.0)
+
+    (c,), _, _ = assemble(u)
     assert c.label == "b2"
-    fd = finite_diff_gradient(lambda uv: float(b2.h(x, uv)), u, 1e-6)
+    fd = finite_diff_gradient(lambda uv: float(assemble(uv)[1]["b2"]), u, 1e-6)
     assert abs(float(c.p_row[0])) > 0.1
     assert c.p_row[0] == pytest.approx(fd[0], rel=1e-6)
 
@@ -58,21 +64,23 @@ def test_safety_deficit_all_terms_vanish():
 
 
 def test_safety_deficit_reduces_to_undisturbed_form(acc_scenario):
-    # with d_hat = 0 the deficit equals the undisturbed residual, composed
-    # without the disturbance channel (exact float equality)
+    # with d_hat = 0 the deficit of the top level h_e equals the undisturbed
+    # residual at its recurrence value, composed without the disturbance
+    # channel (exact float equality)
     model = acc_scenario.model
-    spec = acc_scenario.chain.levels[1]
+    chain = acc_scenario.chain
+    spec = chain.levels[1]
     rng = SplitMix64(11)
     for _ in range(50):
         x = np.array([rng.uniform(0, 100), rng.uniform(0, 25), rng.uniform(0, 60)])
         u = np.array([rng.uniform(-4000, 4000)])
         phi = np.array([rng.uniform(-1e4, 1e4)])
-        w = _constraint(model, spec, phi, x, u, np.zeros(1)).deficit
+        (c,), values, _ = build_constraints(model, (), chain, phi, x, u, np.zeros(1), 0.0)
         gx = np.asarray(spec.grad_x(x, u), dtype=float)
         gu = np.atleast_1d(np.asarray(spec.grad_u(x, u), dtype=float))
         fx = np.asarray(model.F(x, u), dtype=float)
-        q = -(float(gx @ fx) + float(gu @ phi) + spec.gamma(spec.h(x, u)))
-        assert w == q
+        q = -(float(gx @ fx) + float(gu @ phi) + spec.gamma(values["h_e"]))
+        assert c.deficit == q
 
 
 def test_safety_deficit_acc_term_by_term(acc_scenario):
@@ -190,25 +198,45 @@ def test_gradient_fallback_wraps_missing_gradients():
     assert np.allclose(spec.grad_u(x, u), [-3.0 * 0.49], atol=1e-7)
 
 
+def test_a_level_without_a_value_needs_both_gradients():
+    # a chain level above 0 is its recurrence, so h = None is allowed, but
+    # then there is no h to take finite differences of
+    grad = lambda x, u: (0.0,)
+    for given in ({}, {"grad_x": grad}, {"grad_u": grad}):
+        with pytest.raises(ConfigurationError, match="'b1' has no value h"):
+            BarrierSpec(h=None, gamma=GAM, label="b1", **given)
+    assert BarrierSpec(h=None, gamma=GAM, grad_x=grad, grad_u=grad).h is None
+
+
+def test_evaluated_barriers_need_their_value(acc_scenario, example1_scenario):
+    # b_0 and a plain barrier are evaluated, not derived from a level below
+    b0, b1 = acc_scenario.chain.levels
+    no_value = dataclasses.replace(b0, h=None)
+    with pytest.raises(ConfigurationError, match="chain level 0 'h_x' has no value h"):
+        BarrierChain(levels=(no_value, b1))
+    # an upper level may carry a value, which is never read
+    assert BarrierChain(levels=(b0, dataclasses.replace(b1, h=b0.h))).m == 1
+    h_u = dataclasses.replace(acc_scenario.barriers[0], h=None)
+    with pytest.raises(ConfigurationError, match="plain barrier 'h_u' has no value h"):
+        dataclasses.replace(acc_scenario, barriers=(h_u,))
+    sc = example1_scenario
+    h_x = dataclasses.replace(sc.barriers[0], h=None)
+    for target in (h_x, [h_x, sc.barriers[1]]):
+        with pytest.raises(ConfigurationError, match="plain barrier 'h_x' has no value h"):
+            check_validity(target, sc.model, lambda x, u: (0.0,), sc.check_box, 3)
+
+
 def test_scenario_gradients_match_finite_differences(acc_scenario, bicycle_scenario):
+    # against the values the filter evaluates: h for a plain barrier and for
+    # level 0, the chain recurrence above it
     rng = SplitMix64(41)
-    cases = []
-    box = acc_scenario.check_box
-    for spec in list(acc_scenario.chain.levels) + list(acc_scenario.barriers):
-        cases.append((acc_scenario, spec, box))
-    for spec in bicycle_scenario.chain.levels:
-        cases.append((bicycle_scenario, spec, bicycle_scenario.check_box))
-    for scenario, spec, box in cases:
-        for _ in range(100):
-            x = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.x_low, box.x_high)])
-            u = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.u_low, box.u_high)])
-            gx = np.asarray(spec.grad_x(x, u), dtype=float)
-            gu = np.atleast_1d(np.asarray(spec.grad_u(x, u), dtype=float))
-            fx = finite_diff_gradient(lambda v: float(spec.h(v, u)), x, 1e-5)
-            fu = finite_diff_gradient(lambda v: float(spec.h(x, v)), u, 1e-5)
-            for analytic, numeric in ((gx, fx), (gu, fu)):
-                denom = max(1.0, float(np.linalg.norm(analytic)))
-                err = float(np.linalg.norm(analytic - numeric)) / denom
+    for scenario in (acc_scenario, bicycle_scenario):
+        box = scenario.check_box
+        for spec, value in level_values(scenario):
+            for _ in range(100):
+                x = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.x_low, box.x_high)])
+                u = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.u_low, box.u_high)])
+                err = gradient_error(spec, value, x, u)
                 assert err <= 1e-4, (scenario.name, spec.label, err)
 
 

@@ -164,7 +164,10 @@ def test_check_config_is_validated_before_writing(tmp_path, capsys):
            ({"resolution": 1}, "check.resolution"),
            ({"resolution": True}, "check.resolution"),
            ({"resolution": [3, 3]}, "check.resolution"),
-           ({"resolution": [3, 3, 3, 2.5]}, "check.resolution")]
+           ({"resolution": [3, 3, 3, 2.5]}, "check.resolution"),
+           ({"resolutions": 3}, "unknown check key(s) 'resolutions'; accepted: barriers, "
+                                "resolution, times"),
+           (5, "check must be a JSON object")]
     for check, field in bad:
         cfg = _check_config(tmp_path, check)
         assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG, check
@@ -172,6 +175,19 @@ def test_check_config_is_validated_before_writing(tmp_path, capsys):
         assert not (tmp_path / "out").exists(), check
     cfg = _check_config(tmp_path, {"times": [0, 2.5], "resolution": [2, 3, 2, 2]})
     assert run_cli("check", "--config", str(cfg)) == EXIT_OK
+
+
+def test_config_must_declare_its_schema(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for cfg, message in (({"scenario": "example1"}, 'config must declare "schema": 1'),
+                         ({"schema": 2, "scenario": "example1"}, 'declare "schema": 1'),
+                         ({"schema": True, "scenario": "example1"}, 'declare "schema": 1'),
+                         ([], "config must be a JSON object, got []")):
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "out")
+        assert run_cli("check", "--config", str(path), "--out", out) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _entry(*argv, cwd, launch=("-c", "from do_icbf.cli import entry; entry()")):
@@ -492,15 +508,29 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     ("bicycle", {"overrides": {"wheelbase": math.nan}}, "overrides.wheelbase must be finite"),
     ("acc", {"t_end": math.inf}, "t_end must be finite"),
     ("acc", {"overrides": {"mass": 10 ** 400}}, "overrides.mass must be finite"),
+    ("acc", {"overrides": 5}, "overrides must be a JSON object, got 5"),
+    ("acc", {"overrides": [["x0", [1.0]]]}, "overrides must be a JSON object"),
+    ("acc", {"overrides": {"disturbance": {"kind": "constant"}}},
+     "overrides.disturbance.value is required"),
+    ("acc", {"overrides": {"disturbance": {"kind": "sinusoid", "amplitude": 1.0}}},
+     "overrides.disturbance.omega is required"),
+    ("acc", {"overrides": {"disturbance": {"value": 2.0}}},
+     "overrides.disturbance.kind must be"),
+    ("acc", {"out": 5}, "out must be a string, got 5"),
+    ("acc", {"scenario": ["acc"]}, "scenario must be a string"),
+    ("acc", {"emit_plot": "no"}, "emit_plot must be a bool, got 'no'"),
 ], ids=["str-keyword", "null-keyword", "bool-keyword", "str-initial-entry",
         "str-initial", "str-disturbance", "bool-disturbance", "float-stride",
         "str-stride", "str-t_end", "bool-dt", "nan-keyword", "minus-inf-keyword",
         "inf-initial-entry", "inf-disturbance", "nan-wheelbase", "inf-t_end",
-        "huge-int-keyword"])
+        "huge-int-keyword", "int-overrides", "list-overrides", "constant-without-value",
+        "sinusoid-without-omega", "disturbance-without-kind", "int-out", "list-scenario",
+        "str-emit_plot"])
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, scenario, fields, name):
     # a JSON true is no number, a stride is no fraction, and neither the NaN
     # and Infinity tokens that Python's json module parses nor an integer
-    # beyond the range of a float is a finite number
+    # beyond the range of a float is a finite number; every other field has
+    # its JSON type too, and the required fields of a disturbance must be there
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
                                     "out": str(tmp_path / "out")}, **fields)))
@@ -558,12 +588,20 @@ def test_wrong_length_initial_state_is_a_config_error(tmp_path, capsys, scenario
     ("acc", {"overrides": {"mass": 1e308}}, "exp(-c1 T / mass) rounds to 1"),
     ("bicycle", {"overrides": {"wheelbase": 0}}, "wheelbase must be > 0, got 0"),
     ("bicycle", {"overrides": {"wheelbase": -1}}, "wheelbase must be > 0, got -1"),
+    ("example1", {"tend": 0.01}, "unknown config key(s) 'tend'; accepted: baseline, check,"),
+    ("acc", {"overrides": {"disturbance": {"kind": "sinusoid", "amplitude": 1.0, "omega": 0.5,
+                                           "phse": 1.0}}},
+     "unknown overrides.disturbance key(s) 'phse'; accepted: amplitude, kind, omega, phase"),
+    ("acc", {"overrides": {"disturbance": {"kind": "constant", "value": 1.0, "omega": 0.5}}},
+     "unknown overrides.disturbance key(s) 'omega'; accepted: kind, value"),
 ], ids=["tiny-dt", "huge-step-count", "zero-mass", "tiny-horizon", "huge-mass",
-        "zero-wheelbase", "negative-wheelbase"])
+        "zero-wheelbase", "negative-wheelbase", "unknown-top-level-key",
+        "unknown-disturbance-key", "key-of-another-disturbance-kind"])
 @pytest.mark.filterwarnings("error")
 def test_degenerate_numbers_are_config_errors(tmp_path, capsys, scenario, fields, message):
     # each is a config error of the prepare step, raised before --out is created
-    # and before any arithmetic that would warn
+    # and before any arithmetic that would warn; so is a key the config, or
+    # its disturbance, does not take
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
                                     "out": str(tmp_path / "out")}, **fields)))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierChain, BlowupError, ClassKFunction,
+from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError, ClassKFunction,
                      ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
@@ -169,6 +169,34 @@ def test_determinism_bit_identical(acc_scenario, tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def _wall_scenario():
+    """A disturbed double integrator x0' = x1, x1' = u + d kept below the wall
+    x0 = 1 by a custom chain whose levels above 0 are their recurrence:
+    b0 = 1 - x0, b1 = -x1 + k0 b0 and b2 = -k0 x1 - u + k1 b1, given by
+    their gradients alone, with three different rates."""
+    k0, k1, k2 = 2.0, 3.0, 5.0
+    ell = np.array([[0.0], [1.0]])
+    model = SystemModel(n=2, m=1, p=1, F=lambda x, u: (x[1], u[0]), ell=lambda x: ell,
+                        d_true=sinusoid_disturbance(0.2, 1.0))
+    chain = BarrierChain(levels=(
+        BarrierSpec(h=lambda x, u: 1.0 - x[0], gamma=ClassKFunction.linear(k0), label="b0",
+                    grad_x=lambda x, u: (-1.0, 0.0), grad_u=lambda x, u: (0.0,)),
+        BarrierSpec(h=None, gamma=ClassKFunction.linear(k1), label="b1",
+                    grad_x=lambda x, u: (-k0, -1.0), grad_u=lambda x, u: (0.0,)),
+        BarrierSpec(h=None, gamma=ClassKFunction.linear(k2), label="b2",
+                    grad_x=lambda x, u: (-k1 * k0, -k0 - k1), grad_u=lambda x, u: (-1.0,)),
+    ))
+    x0 = np.array([0.5, 0.2])
+    obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, e_d0_bound=0.2,
+                         bounds=DisturbanceBounds(0.2, 0.2))
+    return Scenario(
+        name="wall", model=model, law=ZeroRate(), obs_cfg=obs,
+        initial=AugmentedState(x0, np.array([0.2]), -(ell.T @ x0)),
+        domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-5.0,), (5.0,)),
+        chain=chain, fast_loop=True,
+    )
+
+
 @pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
 def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
     # the built-in chains give their top two levels one rate; a third top
@@ -179,12 +207,13 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
         bicycle_scenario, chain=BarrierChain(levels=chain.levels[:2] + (top,)))
     # two plain barriers next to a chain, and two with none, pin the order of
     # the values (chain levels first) and of the constraints (plain first);
-    # example1 from x0 = 1 also halts infeasible in the filter modes
+    # example1 from x0 = 1 also halts infeasible in the filter modes, and the
+    # wall scenario's custom chain has no value above level 0
     h_u = acc_scenario.barriers[0]
     loose = dataclasses.replace(h_u, h=lambda x, u: h_u.h(x, u) + 1e6, label="h_u_loose")
     two_plain = dataclasses.replace(acc_scenario, barriers=(h_u, loose))
     for scenario in (acc_scenario, bicycle_scenario, own_top_rate, two_plain,
-                     build_example1(x0=(1.0,))):
+                     build_example1(x0=(1.0,)), _wall_scenario()):
         cfg = SimConfig(dt=1e-3, t_end=1.0, filter_mode=mode)
         fast = run_closed_loop(scenario, cfg)
         generic = run_closed_loop(dataclasses.replace(scenario, fast_loop=False), cfg)
