@@ -51,10 +51,12 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
-# The keys of a config, whatever the command, of its `check` and of an acc
+# The keys of a config that each command reads, of its `check` and of an acc
 # disturbance of each kind (all but "phase" required).
-CONFIG_KEYS = ("schema", "scenario", "filter", "baseline", "dt", "t_end", "log_stride", "out",
-               "emit_plot", "overrides", "check")
+_SHARED_KEYS = ("schema", "scenario", "out", "overrides")
+_SIM_KEYS = _SHARED_KEYS + ("filter", "dt", "t_end", "log_stride")
+CONFIG_KEYS = {"run": _SIM_KEYS + ("emit_plot",), "compare": _SIM_KEYS + ("baseline",),
+               "check": _SHARED_KEYS + ("check",)}
 CHECK_KEYS = ("resolution", "times", "barriers")
 DISTURBANCE_KEYS = {"constant": ("kind", "value"),
                     "sinusoid": ("kind", "amplitude", "omega", "phase")}
@@ -80,7 +82,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _json_object(json.load(fh), "config", CONFIG_KEYS)
+            cfg = _json_object(json.load(fh), "config", CONFIG_KEYS[args.command],
+                               unknown=f"config key(s) {{keys}} for command {args.command!r}")
         if type(cfg.get("schema")) is not int or cfg["schema"] != 1:  # a JSON true is no 1
             raise ConfigurationError("config must declare \"schema\": 1")
     for key in ("scenario", "filter", "baseline", "dt", "t_end", "out", "emit_plot"):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -38,6 +39,9 @@ from .model import Array, AugmentedState, SystemModel, _as_vector
 from .observer import ObserverConfig, error_envelope
 
 FILTER_MODES = ("off", "icbf", "do_icbf", "high_order")
+# A run holds at most this many bytes of packed log rows in memory: each
+# full chunk moves to the run's spool file, so memory does not grow with t_end.
+LOG_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,10 @@ class Scenario:
 
 class TrajectoryLog:
     """Time-indexed record of one run; column layout is fixed by the header.
-    `rows` is a (rows, columns) float64 array, one row per logged step.
+    `rows` is a (rows, columns) float64 array, one row per logged step: a
+    view of the loop's buffer for a log of less than one chunk
+    (LOG_CHUNK_BYTES), else a read-only memmap of `spool`, the unnamed
+    temporary file the loop moved the rows to one chunk at a time.
     `fold` holds what run_closed_loop folds over every step it decides,
     logged or not, keyed as summarize reports it."""
 
@@ -149,6 +156,7 @@ class TrajectoryLog:
             + ["c_margin", "infeasible"]
         )
         self.rows = np.empty((0, len(self.header)))
+        self.spool = None
         self.halt_reason = "completed"
         self.halt_message = ""
         self.scenario_name = scenario.name
@@ -157,12 +165,38 @@ class TrajectoryLog:
         self.fold: dict = {}
 
     def write_csv(self, path) -> None:
-        """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings."""
+        """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings.
+        A spooled log is read back one chunk at a time with os.pread, never
+        through the memmap, whose pages would stay resident."""
         width = len(self.header)
         line = ",".join(["%.17g"] * width) + "\n"
+        if self.spool is None:
+            blocks = [self.rows]
+        else:
+            size = _chunk_rows(width) * 8 * width
+            blocks = (os.pread(self.spool.fileno(), size, offset)
+                      for offset in range(0, self.rows.nbytes, size))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
-            fh.writelines(map(line.__mod__, struct.iter_unpack(f"{width}d", self.rows)))
+            for block in blocks:
+                fh.writelines(map(line.__mod__, struct.iter_unpack(f"{width}d", block)))
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of `width` float64 values in one chunk of the log."""
+    return max(1, LOG_CHUNK_BYTES // (8 * width))
+
+
+def _spill(rows: array, spool):
+    """Append the packed rows to the spool, created as an unnamed temporary
+    file at the first spill, and empty the buffer; returns the spool."""
+    if spool is None:
+        import tempfile  # here, so that importing the package never loads it
+
+        spool = tempfile.TemporaryFile()
+    rows.tofile(spool)
+    del rows[:]
+    return spool
 
 
 def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float) -> Array:
@@ -198,13 +232,22 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     v_star) returns the next state with udot = phi + v_star held over the
     step, or raises BlowupError. Scenarios flagged fast_loop take the float
     kernel, all others the vector kernel.
+
+    The loop packs each logged row into one buffer and holds at most one
+    chunk (LOG_CHUNK_BYTES) of rows in memory: each time the buffer is full,
+    its rows are appended to the run's spool, an unnamed temporary file
+    made at the first spill (in $TMPDIR, else /tmp), and the buffer is
+    emptied. A log that never fills a chunk never touches the disk.
     """
     law = copy.deepcopy(scenario.law)
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
     z, decide, advance = make_kernel(scenario, law, cfg)
     log = TrajectoryLog(scenario, cfg)
-    rows = array("d")  # the logged rows, packed one after another
-    pack = struct.Struct(f"{len(log.header)}d").pack  # one row's bytes; checks its width
+    width = len(log.header)
+    rows = array("d")  # the logged rows not yet spooled, packed one after another
+    chunk = _chunk_rows(width) * width  # values in a full chunk
+    spool = None
+    pack = struct.Struct(f"{width}d").pack  # one row's bytes; checks its width
     box = scenario.domain
     lo = [float(v) for v in np.concatenate([box.x_low, box.u_low])]
     hi = [float(v) for v in np.concatenate([box.x_high, box.u_high])]
@@ -252,6 +295,8 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
                 rows.frombytes(pack(t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
                                     margin, 1.0 if infeasible else 0.0))
                 logged = True
+                if len(rows) == chunk:
+                    spool = _spill(rows, spool)
             if infeasible:
                 log.halt_reason = "infeasible"
                 break
@@ -265,7 +310,12 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     if not logged:  # a blowup or error halt: the log ends at the last decided step
         rows.frombytes(pack(t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
                             margin, 0.0))
-    log.rows = np.frombuffer(rows).reshape(-1, len(log.header))  # a view, no copy
+    if spool is None:
+        log.rows = np.frombuffer(rows).reshape(-1, width)  # a view, no copy
+    else:
+        _spill(rows, spool).flush()
+        log.spool = spool
+        log.rows = np.memmap(spool, dtype=np.float64, mode="r").reshape(-1, width)
     log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
                 "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
                 "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.e_d0_bound)}

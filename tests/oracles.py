@@ -55,16 +55,25 @@ def level_values(scenario):
     return pairs
 
 
-def gradient_error(spec, value, x, u, step=1e-5):
-    """The larger of the relative errors of spec's analytic grad_x and grad_u
-    at (x, u) against central differences of value."""
+def gradient_error(spec, value, x, u, step=1e-5, rtol=1e-4):
+    """The larger of the errors of spec's analytic grad_x and grad_u at
+    (x, u) against central differences of value, each relative to the
+    analytic gradient's own norm, so that an error of rtol reads rtol
+    however small the gradient is.
+
+    The norm is floored where the central difference is rounding noise:
+    with f = value(x, u), each difference quotient carries a rounding error
+    of up to about eps |f| / step, so a gradient whose norm is below
+    eps max(1, |f|) / (step rtol) could not be told apart from that noise
+    within rtol."""
+    floor = np.finfo(float).eps * max(1.0, abs(float(value(x, u)))) / (step * rtol)
     worst = 0.0
     for analytic, numeric in (
             (spec.grad_x(x, u), finite_diff_gradient(lambda v: float(value(v, u)), x, step)),
             (spec.grad_u(x, u), finite_diff_gradient(lambda v: float(value(x, v)), u, step))):
         analytic = np.atleast_1d(np.asarray(analytic, dtype=float))
         worst = max(worst, float(np.linalg.norm(analytic - numeric))
-                    / max(1.0, float(np.linalg.norm(analytic))))
+                    / max(floor, float(np.linalg.norm(analytic))))
     return worst
 
 

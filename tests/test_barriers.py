@@ -240,6 +240,20 @@ def test_scenario_gradients_match_finite_differences(acc_scenario, bicycle_scena
                 assert err <= 1e-4, (scenario.name, spec.label, err)
 
 
+def test_gradient_error_is_relative_to_a_small_gradient(acc_scenario):
+    # acc's h_e input gradient is -headway / mass = -1.8 / 1650 = -1.09e-3; an
+    # error of 0.1% in it must read as 1e-3, not as 1e-6 against a norm of 1
+    h_e, value = acc_scenario.chain.levels[1], dict(level_values(acc_scenario))
+    off = dataclasses.replace(h_e, grad_u=lambda x, u: 1.001 * np.asarray(h_e.grad_u(x, u)))
+    rng = SplitMix64(7)
+    box = acc_scenario.check_box
+    for _ in range(20):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.x_low, box.x_high)])
+        u = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.u_low, box.u_high)])
+        assert gradient_error(h_e, value[h_e], x, u) <= 1e-4
+        assert gradient_error(off, value[h_e], x, u) == pytest.approx(1e-3, rel=1e-2)
+
+
 def test_check_validity_flags_state_barrier_counterexample(example1_scenario):
     sc = example1_scenario
     report = check_validity(list(sc.barriers), sc.model, lambda x, u: (0.0,),

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from do_icbf import build_example1, cli
+from do_icbf import build_acc, build_example1, cli, simulate
 from do_icbf.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, main)
 
@@ -121,10 +121,10 @@ def test_check_empty_barrier_selection_fails(tmp_path):
     assert rc == EXIT_CONFIG
 
 
-def _check_config(tmp_path, check, scenario="acc"):
+def _check_config(tmp_path, check, scenario="acc", **fields):
     cfg = tmp_path / "check.json"
     cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "check": check,
-                               "out": str(tmp_path / "out")}))
+                               "out": str(tmp_path / "out"), **fields}))
     return cfg
 
 
@@ -173,6 +173,14 @@ def test_check_config_is_validated_before_writing(tmp_path, capsys):
         assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG, check
         assert field in capsys.readouterr().err, check
         assert not (tmp_path / "out").exists(), check
+    # a key that only run or compare reads is unknown to check, not ignored
+    for key, value in (("t_end", 5), ("dt", 0.01), ("log_stride", 2), ("filter", "off"),
+                       ("baseline", "off"), ("emit_plot", True)):
+        cfg = _check_config(tmp_path, {"resolution": 2}, **{key: value})
+        assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG, key
+        assert (f"unknown config key(s) '{key}' for command 'check'; accepted: check, out, "
+                f"overrides, scenario, schema") in capsys.readouterr().err, key
+        assert not (tmp_path / "out").exists(), key
     cfg = _check_config(tmp_path, {"times": [0, 2.5], "resolution": [2, 3, 2, 2]})
     assert run_cli("check", "--config", str(cfg)) == EXIT_OK
 
@@ -306,6 +314,24 @@ def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline, two_cp
     assert (tmp_path / "trajectory_do_icbf.csv").exists()
 
 
+def test_forked_compare_spools_each_log(tmp_path, monkeypatch, deadline, two_cpus):
+    # each process spools the log of its own mode: with a chunk of 3 rows,
+    # compare's files are those of the default chunk
+    width = len(simulate.TrajectoryLog(build_acc(), simulate.SimConfig()).header)
+    default = simulate.LOG_CHUNK_BYTES
+    files = []
+    for chunk in (default, 8 * width * 3):
+        monkeypatch.setattr(simulate, "LOG_CHUNK_BYTES", chunk)
+        out = tmp_path / str(chunk)
+        assert run_cli("compare", "--scenario", "acc", "--t-end", "1.0",
+                       "--out", str(out)) == EXIT_OK
+        assert_no_child_left()
+        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(two_cpus) == 2
+    assert sorted(files[0]) == ["summary.json", "trajectory_do_icbf.csv", "trajectory_icbf.csv"]
+    assert files[1] == files[0]
+
+
 def test_one_cpu_runs_every_command_in_process(tmp_path, monkeypatch, deadline, two_cpus):
     # the same files whether compare's baseline and check's second block run
     # in forked children or, on one CPU, here in turn
@@ -384,6 +410,18 @@ def test_compare_identical_modes_is_degenerate(tmp_path):
     rc = run_cli("compare", "--scenario", "acc", "--filter", "off",
                  "--baseline", "off", "--out", str(tmp_path))
     assert rc == EXIT_CONFIG
+
+
+def test_compare_config_takes_only_its_keys(tmp_path, capsys):
+    # compare reads baseline, not run's emit_plot nor check's block
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("emit_plot", True), ("check", {"resolution": 3})):
+        cfg.write_text(json.dumps({"schema": 1, "scenario": "acc", "t_end": 0.1, key: value,
+                                   "out": str(tmp_path / "out")}))
+        assert run_cli("compare", "--config", str(cfg)) == EXIT_CONFIG, key
+        assert (f"unknown config key(s) '{key}' for command 'compare'; accepted: baseline, "
+                f"dt, filter, log_stride,") in capsys.readouterr().err, key
+        assert not (tmp_path / "out").exists(), key
 
 
 def test_exit_codes_partition(tmp_path):
@@ -519,18 +557,25 @@ def test_unknown_override_is_a_config_error(tmp_path, capsys):
     ("acc", {"out": 5}, "out must be a string, got 5"),
     ("acc", {"scenario": ["acc"]}, "scenario must be a string"),
     ("acc", {"emit_plot": "no"}, "emit_plot must be a bool, got 'no'"),
+    ("acc", {"check": {"resolutions": 3}}, "unknown config key(s) 'check' for command 'run'"),
+    ("acc", {"check": {"resolution": 3}}, "unknown config key(s) 'check' for command 'run'"),
+    ("acc", {"baseline": "icbf"}, "unknown config key(s) 'baseline' for command 'run'; "
+                                  "accepted: dt, emit_plot, filter, log_stride, out, "
+                                  "overrides, scenario, schema, t_end"),
 ], ids=["str-keyword", "null-keyword", "bool-keyword", "str-initial-entry",
         "str-initial", "str-disturbance", "bool-disturbance", "float-stride",
         "str-stride", "str-t_end", "bool-dt", "nan-keyword", "minus-inf-keyword",
         "inf-initial-entry", "inf-disturbance", "nan-wheelbase", "inf-t_end",
         "huge-int-keyword", "int-overrides", "list-overrides", "constant-without-value",
         "sinusoid-without-omega", "disturbance-without-kind", "int-out", "list-scenario",
-        "str-emit_plot"])
+        "str-emit_plot", "run-with-bad-check", "run-with-check", "run-with-baseline"])
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, scenario, fields, name):
     # a JSON true is no number, a stride is no fraction, and neither the NaN
     # and Infinity tokens that Python's json module parses nor an integer
     # beyond the range of a float is a finite number; every other field has
-    # its JSON type too, and the required fields of a disturbance must be there
+    # its JSON type too, the required fields of a disturbance must be there,
+    # and a key that run does not read (check's block, compare's baseline),
+    # valid or not, is unknown to it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
                                     "out": str(tmp_path / "out")}, **fields)))
@@ -588,7 +633,8 @@ def test_wrong_length_initial_state_is_a_config_error(tmp_path, capsys, scenario
     ("acc", {"overrides": {"mass": 1e308}}, "exp(-c1 T / mass) rounds to 1"),
     ("bicycle", {"overrides": {"wheelbase": 0}}, "wheelbase must be > 0, got 0"),
     ("bicycle", {"overrides": {"wheelbase": -1}}, "wheelbase must be > 0, got -1"),
-    ("example1", {"tend": 0.01}, "unknown config key(s) 'tend'; accepted: baseline, check,"),
+    ("example1", {"tend": 0.01}, "unknown config key(s) 'tend' for command 'run'; "
+                                 "accepted: dt, emit_plot,"),
     ("acc", {"overrides": {"disturbance": {"kind": "sinusoid", "amplitude": 1.0, "omega": 0.5,
                                            "phse": 1.0}}},
      "unknown overrides.disturbance key(s) 'phse'; accepted: amplitude, kind, omega, phase"),

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError, Cla
                      ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
-                     rk4_step, run_closed_loop, sinusoid_disturbance,
+                     rk4_step, run_closed_loop, simulate, sinusoid_disturbance,
                      summarize)
 from do_icbf.control_laws import ZeroRate
 from oracles import column
@@ -235,23 +236,79 @@ def test_truncation_on_infeasibility():
 
 
 def test_log_is_packed_float64(bicycle_scenario):
-    # one 8-byte double per logged value: a 5 s run retains at most 1.25x the
-    # packed size plus a fixed 64 KiB, where a tuple of floats per row is ~4x
-    cfg = SimConfig(dt=1e-3, t_end=5.0, filter_mode="high_order")
+    # one 8-byte double per logged value, and at most one chunk of them in
+    # memory: whatever the horizon, a run retains no more than a chunk plus a
+    # fixed 64 KiB (a 5 s bicycle run has 5001 rows of 128 B, 640 KB), and
+    # holds no more than two chunks at its peak (the buffer and the bytes
+    # written from it); the rest is in the spool, 8 B per value
+    chunk = simulate.LOG_CHUNK_BYTES
     run_closed_loop(bicycle_scenario, SimConfig(dt=1e-3, t_end=0.01, filter_mode="high_order"))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        log = run_closed_loop(bicycle_scenario, cfg)
+    for t_end in (5.0, 20.0):
+        cfg = SimConfig(dt=1e-3, t_end=t_end, filter_mode="high_order")
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    rows, columns = len(log.rows), len(log.header)
-    assert rows == 5001
-    assert retained <= 1.25 * 8 * columns * rows + 64 * 1024
-    assert log.rows.shape == (rows, columns) and log.rows.dtype == np.float64
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = run_closed_loop(bicycle_scenario, cfg)
+            gc.collect()
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        rows, columns = len(log.rows), len(log.header)
+        assert rows == round(t_end * 1000) + 1
+        assert retained <= chunk + 64 * 1024, t_end
+        assert peak <= 2 * chunk + 64 * 1024, t_end
+        assert os.fstat(log.spool.fileno()).st_size == 8 * columns * rows
+        assert log.rows.shape == (rows, columns) and log.rows.dtype == np.float64
+        assert not log.rows.flags.writeable
+
+
+def _spool_runs(monkeypatch, tmp_path, scenario, cfg, chunks):
+    """(halt, rows bytes, CSV bytes) of the run of scenario under cfg with a
+    chunk of each given number of rows, None for the default chunk."""
+    width = len(simulate.TrajectoryLog(scenario, cfg).header)
+    default = simulate.LOG_CHUNK_BYTES
+    out = []
+    for rows in chunks:
+        monkeypatch.setattr(simulate, "LOG_CHUNK_BYTES", default if rows is None
+                            else 8 * width * rows)
+        log = run_closed_loop(scenario, cfg)
+        if rows is not None and len(log.rows) > rows:
+            assert log.spool is not None
+        log.write_csv(tmp_path / "log.csv")
+        out.append((log.halt_reason, np.asarray(log.rows).tobytes(),
+                    (tmp_path / "log.csv").read_bytes()))
+    return out
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["float", "vector"])
+@pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
+@pytest.mark.parametrize("name", ["acc", "bicycle"])
+def test_spooled_log_matches_the_default_chunk(monkeypatch, tmp_path, name, mode, fast):
+    # a chunk of 3 rows spools all but the last row or two; its rows and its
+    # CSV, read back from the spool, are the bytes of the default chunk's
+    # (whose rows tests/test_golden.py pins)
+    scenario = dataclasses.replace(build_scenario(name), fast_loop=fast)
+    cfg = SimConfig(dt=1e-3, t_end=2.0, filter_mode=mode)
+    default, spooled = _spool_runs(monkeypatch, tmp_path, scenario, cfg, (None, 3))
+    assert default[0] == "completed"
+    assert len(default[1]) == 8 * 2001 * len(simulate.TrajectoryLog(scenario, cfg).header)
+    assert spooled == default
+
+
+@pytest.mark.parametrize("name,overrides,cfg,halt", [
+    ("acc", {}, SimConfig(dt=2.0, t_end=2000.0, filter_mode="off"), "blowup"),
+    ("example1", {"x0": (3.9,)}, SimConfig(dt=1e-3, t_end=1.0), "infeasible"),
+    ("bicycle", {"accel": -0.1}, SimConfig(dt=1e-3, t_end=8.0, log_stride=10), "error"),
+], ids=["blowup", "infeasible", "error"])
+def test_spooled_log_of_a_halted_run(monkeypatch, tmp_path, name, overrides, cfg, halt):
+    # a blowup or error halt appends its last row after the loop: with chunks
+    # of 1, 2 and 3 rows it lands just after a spill or fills a chunk in one
+    # of them; each gives the bytes of the log held in memory whole
+    whole, *spooled = _spool_runs(monkeypatch, tmp_path, build_scenario(name, **overrides),
+                                  cfg, (10 ** 9, 1, 2, 3))
+    assert whole[0] == halt
+    assert all(run == whole for run in spooled)
 
 
 def test_blowup_truncates_with_reason(acc_scenario):
