@@ -8,12 +8,10 @@ simulator, and two vehicle benchmarks plus a CLI.
 
 from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .control_laws import PredictiveCruiseRate, StanleyRateLaw
-from .errors import (BlowupError, ConfigurationError, ContractViolationError,
-                     NumericalDomainError)
+from .errors import BlowupError, ConfigurationError, ContractViolationError
 from .filter import (FilterConstraint, FilterResult, ValidityReport,
                      build_constraints, check_validity, solve_multi)
-from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
-                    SystemModel, finite_diff_gradient)
+from .model import AugmentedState, DisturbanceBounds, SystemModel, linear_rate
 from .observer import ObserverConfig, check_gain_condition, error_envelope
 from .rng import SplitMix64
 from .scenarios import (build_acc, build_bicycle, build_example1,

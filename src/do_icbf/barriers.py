@@ -11,7 +11,8 @@ where p is the transposed input gradient of h and the deficit collects
 everything v cannot change. When the input gradient vanishes identically the
 chain b_0 = h, b_{i+1} = bdot_i + gamma_i(b_i) - margin, with gamma_i the rate
 of level i, recovers input authority after as many derivatives as the
-relative degree requires.
+relative degree requires. Every level, plain or in a chain, gives both of
+its gradients; the package differentiates nothing numerically.
 """
 
 from __future__ import annotations
@@ -22,38 +23,31 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
-from .model import Array, ClassKFunction, finite_diff_gradient
+from .model import Array
 
 EPS_P = 1e-8  # below this the input gradient counts as zero
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Scalar barrier h(x, u) with gradients and its class-K rate.
+    """Scalar barrier h(x, u): its value, both gradients and its class-K rate.
 
-    Gradients left as None are central finite differences of h. A chain level
-    above b_0 is the recurrence from the level below and has no value of its
-    own: h = None, and then both gradients must be given.
+    These are the callables the filter calls. grad_x and grad_u are always
+    given, and a level without either cannot be built. gamma is any function
+    from float to float (see model.linear_rate). A chain level above b_0 is
+    the recurrence from the level below and has no value of its own: h = None.
     """
 
     h: Optional[Callable[[Array, Array], float]]
-    gamma: ClassKFunction
-    grad_x: Optional[Callable[[Array, Array], Array]] = None
-    grad_u: Optional[Callable[[Array, Array], Array]] = None
+    gamma: Callable[[float], float]
+    grad_x: Callable[[Array, Array], Array]
+    grad_u: Callable[[Array, Array], Array]
     label: str = "h"
 
     def __post_init__(self):
-        fn = self.h
-        if fn is None and (self.grad_x is None or self.grad_u is None):
-            raise ConfigurationError(f"barrier {self.label!r} has no value h to take finite "
-                                     f"differences of, so it needs both grad_x and grad_u")
-        if self.grad_x is None:
-            object.__setattr__(self, "grad_x", lambda x, u: finite_diff_gradient(
-                lambda xv: fn(xv, u), x, _FD_STEP))
-        if self.grad_u is None:
-            object.__setattr__(self, "grad_u", lambda x, u: finite_diff_gradient(
-                lambda uv: fn(x, uv), u, _FD_STEP))
+        for name in ("grad_x", "grad_u"):
+            if not callable(getattr(self, name)):
+                raise ConfigurationError(f"barrier {self.label!r} needs a callable {name}")
 
 
 def require_values(specs: Sequence[BarrierSpec], role: str) -> None:
@@ -70,8 +64,8 @@ class BarrierChain:
 
     Level 0 carries its value b_0 = h. Each level above is the recurrence
     b_{i+1} = bdot_i + gamma_i(b_i) - margin from the level below and carries
-    only its gradients (h = None; a value given is never read), its rate and
-    its label. The top level's gamma_m enters its own constraint. A plain
+    only its two gradients (h = None; a value given is never read), its rate
+    and its label. The top level's gamma_m enters its own constraint. A plain
     barrier is the chain with no lower level (m = 0), which build_constraints
     assembles by the same recurrence; a BarrierChain holds m >= 1. Level 0
     must be input-free; only the top level needs input authority.

@@ -6,7 +6,8 @@
 
 Exit codes partition the outcomes: 0 clean finish, 1 unusable arguments,
 config or I/O failure, 2 filter infeasibility, 3 numerical blow-up, 4 validity
-counterexamples found, 5 an error raised during a run. Config files are JSON
+counterexamples found, 5 an error raised during a run or a dead forked child;
+each failure is a "do-icbf: error:" line on stderr. Config files are JSON
 with a versioned top-level "schema": 1 field; command-line flags override
 config values. The default output directory comes from --out, else
 $DO_ICBF_OUT, else ./do-icbf-out.
@@ -46,9 +47,13 @@ _HALT_EXIT = {"completed": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "blowup": EXI
               "error": EXIT_ERROR}
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_CONFIG) -> int:
     print(f"do-icbf: error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
+    return code
+
+
+class ChildDiedError(RuntimeError):
+    """A forked child exited before it sent its result."""
 
 
 # The keys of a config that each command reads, of its `check` and of an acc
@@ -271,14 +276,14 @@ def _fork(name: str, work) -> tuple:
 
 
 def _join(name: str, pid: int, read_fd: int):
-    """Wait for a forked child; returns what it sent, or a RuntimeError if it
-    died first."""
+    """Wait for a forked child; returns what it sent, or a ChildDiedError if
+    it died first."""
     with os.fdopen(read_fd, "rb") as pipe:
         blob = pipe.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
-        return RuntimeError(f"{name}: the process running this task exited with code "
-                            f"{code} before sending its result")
+        return ChildDiedError(f"{name}: the process running this task exited with code "
+                              f"{code} before sending its result")
     return pickle.loads(blob)
 
 
@@ -474,9 +479,16 @@ def main(argv=None) -> int:
         out = _outdir(cfg)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
-    if args.command == "check":
-        return cmd_check(scenario, *plan, out)
-    return cmd_simulate(args.command, cfg, scenario, plan, out)
+    # After prepare, an unwritable output exits 1 and a dead forked child 5;
+    # _run_tasks raises either only once every child is joined.
+    try:
+        if args.command == "check":
+            return cmd_check(scenario, *plan, out)
+        return cmd_simulate(args.command, cfg, scenario, plan, out)
+    except OSError as exc:
+        return _fail(str(exc))
+    except ChildDiedError as exc:
+        return _fail(str(exc), EXIT_ERROR)
 
 
 def entry() -> None:

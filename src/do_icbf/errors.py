@@ -9,10 +9,6 @@ class ConfigurationError(ValueError):
     """A config object is internally inconsistent (bad gains, missing pieces, ...)."""
 
 
-class NumericalDomainError(ArithmeticError):
-    """A numeric evaluation left the domain where the operation is defined (NaN/inf)."""
-
-
 class BlowupError(ArithmeticError):
     """Integration produced a non-finite value. Carries the time at which it happened."""
 

@@ -1,4 +1,4 @@
-"""Plant model, augmented state, class-K rate functions, and gradient utilities.
+"""Plant model, augmented state, disturbance bounds and the linear class-K rate.
 
 The controlled plant is  xdot = F(x, u) + ell(x) d  with state x in R^n, input
 u in R^m and an additive disturbance d in R^p entering through the channel
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalDomainError
+from .errors import ContractViolationError
 
 Array = np.ndarray
 
@@ -48,45 +48,11 @@ class SystemModel:
             object.__setattr__(self, "d_true", lambda t: zero)
 
 
-def finite_diff_gradient(f: Callable[[Array], float], point, step: float) -> Array:
-    """Central-difference gradient of a scalar function of a k-vector.
-
-    Exact (up to roundoff) on polynomials of degree <= 2. Raises
-    NumericalDomainError if f returns a non-finite value near `point`.
-    """
-    if step <= 0.0:
-        raise ContractViolationError(f"step: must be > 0, got {step}")
-    point = np.asarray(point, dtype=float)
-    grad = np.empty_like(point)
-    for i in range(point.shape[0]):
-        hi = point.copy()
-        lo = point.copy()
-        hi[i] += step
-        lo[i] -= step
-        f_hi = float(f(hi))
-        f_lo = float(f(lo))
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NumericalDomainError(
-                f"finite_diff_gradient: non-finite value near component {i} of {point}"
-            )
-        grad[i] = (f_hi - f_lo) / (2.0 * step)
-    return grad
-
-
-@dataclass(frozen=True)
-class ClassKFunction:
-    """Scalar rate function: continuous, strictly increasing, zero at zero."""
-
-    fn: Callable[[float], float]
-
-    @staticmethod
-    def linear(slope: float) -> "ClassKFunction":
-        if slope <= 0.0:
-            raise ContractViolationError(f"linear class-K slope must be > 0, got {slope}")
-        return ClassKFunction(lambda s: slope * s)
-
-    def __call__(self, s: float) -> float:
-        return self.fn(s)
+def linear_rate(slope: float) -> Callable[[float], float]:
+    """The class-K rate s -> slope * s; slope must be > 0."""
+    if slope <= 0.0:
+        raise ContractViolationError(f"linear class-K slope must be > 0, got {slope}")
+    return lambda s: slope * s
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ import numpy as np
 from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .control_laws import PredictiveCruiseRate, StanleyRateLaw, ZeroRate
 from .errors import ConfigurationError
-from .model import (AugmentedState, ClassKFunction, DisturbanceBounds,
-                    SystemModel, _as_vector)
+from .model import (AugmentedState, DisturbanceBounds, SystemModel, _as_vector,
+                    linear_rate)
 from .observer import ObserverConfig, check_gain_condition
 from .simulate import Scenario
 
@@ -119,7 +119,7 @@ def build_acc(*,
     zero_x = (0.0, 0.0, 0.0)
 
     level0 = BarrierSpec(h=lambda x, u: x[2] - headway * x[1],
-                         gamma=ClassKFunction.linear(gamma),
+                         gamma=linear_rate(gamma),
                          grad_x=lambda x, u: hx_grad, grad_u=lambda x, u: zero_u, label="h_x")
 
     he_grad_u = (-headway / mass,)
@@ -129,7 +129,7 @@ def build_acc(*,
         return (0.0, headway * (c1 + 2.0 * c2 * x2) / mass - 1.0 - headway * gamma,
                 gamma)
 
-    level1 = BarrierSpec(h=None, gamma=ClassKFunction.linear(gamma), grad_x=h_e_grad_x,
+    level1 = BarrierSpec(h=None, gamma=linear_rate(gamma), grad_x=h_e_grad_x,
                          grad_u=lambda x, u: he_grad_u, label="h_e")
     chain = BarrierChain(levels=(level0, level1))
 
@@ -139,7 +139,7 @@ def build_acc(*,
     def h_u(x, u):
         return force_limit * force_limit - u[0] * u[0]
 
-    h_u_spec = BarrierSpec(h=h_u, gamma=ClassKFunction.linear(gamma),
+    h_u_spec = BarrierSpec(h=h_u, gamma=linear_rate(gamma),
                            grad_x=lambda x, u: zero_x,
                            grad_u=lambda x, u: (-2.0 * u[0],),
                            label="h_u")
@@ -264,14 +264,13 @@ def build_bicycle(*,
         sec = 1.0 / math.cos(u[0])
         return ((2.0 * v * v / L) * sec * sec * cross,)
 
-    gam = ClassKFunction.linear
     chain = BarrierChain(
         levels=(
-            BarrierSpec(h=lambda x, u: x[0] * x[0] + x[1] * x[1] - r2, gamma=gam(gamma1),
+            BarrierSpec(h=lambda x, u: x[0] * x[0] + x[1] * x[1] - r2, gamma=linear_rate(gamma1),
                         grad_x=b0_grad_x, grad_u=lambda x, u: zero_u, label="b0"),
-            BarrierSpec(h=None, gamma=gam(gamma2), grad_x=b1_grad_x,
+            BarrierSpec(h=None, gamma=linear_rate(gamma2), grad_x=b1_grad_x,
                         grad_u=lambda x, u: zero_u, label="b1"),
-            BarrierSpec(h=None, gamma=gam(gamma2), grad_x=b2_grad_x,
+            BarrierSpec(h=None, gamma=linear_rate(gamma2), grad_x=b2_grad_x,
                         grad_u=b2_grad_u, label="b2"),
         ),
     )
@@ -334,7 +333,7 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
     ell_mat = np.zeros((1, 1))
     model = SystemModel(n=1, m=1, p=1, F=F, ell=lambda x: ell_mat)
 
-    gam = ClassKFunction.linear(1.0)
+    gam = linear_rate(1.0)
     h_x = BarrierSpec(h=lambda x, u: 4.0 - x[0], gamma=gam,
                       grad_x=lambda x, u: (-1.0,),
                       grad_u=lambda x, u: (0.0,), label="h_x")

@@ -61,8 +61,9 @@ class SimConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise ConfigurationError(f"t_end / dt must be a finite step count, got "
                                      f"t_end={self.t_end}, dt={self.dt}")
-        if self.log_stride < 1:
-            raise ConfigurationError(f"log_stride must be >= 1, got {self.log_stride}")
+        stride = self.log_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ConfigurationError(f"log_stride must be an integer >= 1, got {stride!r}")
         if self.filter_mode not in FILTER_MODES:
             raise ConfigurationError(
                 f"filter_mode must be one of {FILTER_MODES}, got {self.filter_mode!r}"
@@ -412,7 +413,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         """(constraint slot, h0, lower levels, top level), each level
         (grad_x, grad_u, gamma); as in build_constraints, a plain barrier is
         the chain with no lower level."""
-        fns = [(lv.grad_x, lv.grad_u, lv.gamma.fn) for lv in levels]
+        fns = [(lv.grad_x, lv.grad_u, lv.gamma) for lv in levels]
         return slot, levels[0].h, tuple(fns[:-1]), fns[-1]
 
     # In value order, chain levels first; the constraints go plain barriers

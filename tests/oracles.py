@@ -13,8 +13,9 @@ checker: every time and every point evaluated on its own, nothing shared.
 
 column reads one named column of a TrajectoryLog from its rows.
 
+finite_diff_gradient is the central-difference gradient oracle, and
 level_values and gradient_error compare a scenario's analytic barrier
-gradients with central differences of the values the filter evaluates."""
+gradients with it, taken of the values the filter evaluates."""
 
 import itertools
 
@@ -22,8 +23,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
-                     ValidityReport, build_constraints, error_envelope,
-                     finite_diff_gradient)
+                     ContractViolationError, ValidityReport, build_constraints,
+                     error_envelope)
 from do_icbf.barriers import EPS_P
 from do_icbf.filter import _grid_axes
 
@@ -34,6 +35,30 @@ def column(log, name):
     """The values of one header column over every logged row."""
     i = log.header.index(name)
     return np.array([row[i] for row in log.rows])
+
+
+def finite_diff_gradient(f, point, step):
+    """Central-difference gradient of a scalar function f of a k-vector.
+
+    Exact (up to roundoff) on polynomials of degree <= 2. Raises
+    ArithmeticError if f returns a non-finite value near `point`.
+    """
+    if step <= 0.0:
+        raise ContractViolationError(f"step: must be > 0, got {step}")
+    point = np.asarray(point, dtype=float)
+    grad = np.empty_like(point)
+    for i in range(point.shape[0]):
+        hi = point.copy()
+        lo = point.copy()
+        hi[i] += step
+        lo[i] -= step
+        f_hi = float(f(hi))
+        f_lo = float(f(lo))
+        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+            raise ArithmeticError(
+                f"finite_diff_gradient: non-finite value near component {i} of {point}")
+        grad[i] = (f_hi - f_lo) / (2.0 * step)
+    return grad
 
 
 def level_values(scenario):

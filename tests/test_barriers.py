@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (BarrierChain, BarrierSpec, ClassKFunction,
-                     ConfigurationError, ContractViolationError, DomainBox,
-                     SplitMix64, SystemModel, build_constraints,
-                     check_validity, finite_diff_gradient)
+from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
+                     ContractViolationError, DomainBox, SplitMix64, SystemModel,
+                     build_constraints, check_validity, linear_rate)
 
-from oracles import gradient_error, level_values
+from oracles import finite_diff_gradient, gradient_error, level_values
 
-GAM = ClassKFunction.linear(1.0)
+GAM = linear_rate(1.0)
 
 
 def _constraint(model, spec, phi, x, u, d_hat):
@@ -151,12 +150,12 @@ def test_each_chain_level_uses_its_own_rate():
     k0, k1, k2 = 2.0, 3.0, 5.0
     model = SystemModel(n=2, m=1, p=1, F=lambda x, u: (x[1], u[0]),
                         ell=lambda x: np.array([[0.0], [1.0]]))
-    b0 = BarrierSpec(h=lambda x, u: x[0], gamma=ClassKFunction.linear(k0), label="b0",
+    b0 = BarrierSpec(h=lambda x, u: x[0], gamma=linear_rate(k0), label="b0",
                      grad_x=lambda x, u: (1.0, 0.0), grad_u=lambda x, u: (0.0,))
-    b1 = BarrierSpec(h=lambda x, u: x[1] + k0 * x[0], gamma=ClassKFunction.linear(k1),
+    b1 = BarrierSpec(h=lambda x, u: x[1] + k0 * x[0], gamma=linear_rate(k1),
                      label="b1", grad_x=lambda x, u: (k0, 1.0), grad_u=lambda x, u: (0.0,))
     b2 = BarrierSpec(h=lambda x, u: u[0] + (k0 + k1) * x[1] + k0 * k1 * x[0],
-                     gamma=ClassKFunction.linear(k2), label="b2",
+                     gamma=linear_rate(k2), label="b2",
                      grad_x=lambda x, u: (k0 * k1, k0 + k1), grad_u=lambda x, u: (1.0,))
     chain = BarrierChain(levels=(b0, b1, b2))
     x, u, phi, envelope = np.array([1.5, -0.5]), np.array([0.25]), np.array([0.1]), 0.5
@@ -190,22 +189,19 @@ def test_repeated_labels_are_rejected(acc_scenario):
                             barriers=(dataclasses.replace(h_u, label="h_x"),))
 
 
-def test_gradient_fallback_wraps_missing_gradients():
-    spec = BarrierSpec(h=lambda x, u: float(x[0] ** 2 - u[0] ** 3), gamma=GAM)
-    x = np.array([1.5])
-    u = np.array([0.7])
-    assert np.allclose(spec.grad_x(x, u), [3.0], atol=1e-8)
-    assert np.allclose(spec.grad_u(x, u), [-3.0 * 0.49], atol=1e-7)
-
-
-def test_a_level_without_a_value_needs_both_gradients():
-    # a chain level above 0 is its recurrence, so h = None is allowed, but
-    # then there is no h to take finite differences of
+def test_every_level_needs_both_gradients():
+    # the filter calls both gradients of every level, with a value h or,
+    # above level 0, without one; nothing fills in a gradient left out
     grad = lambda x, u: (0.0,)
-    for given in ({}, {"grad_x": grad}, {"grad_u": grad}):
-        with pytest.raises(ConfigurationError, match="'b1' has no value h"):
-            BarrierSpec(h=None, gamma=GAM, label="b1", **given)
-    assert BarrierSpec(h=None, gamma=GAM, grad_x=grad, grad_u=grad).h is None
+    for h in (lambda x, u: 1.0, None):
+        for given in ({}, {"grad_x": grad}, {"grad_u": grad}):
+            with pytest.raises(TypeError, match="grad_"):
+                BarrierSpec(h=h, gamma=GAM, label="b1", **given)
+        for bad in (None, (0.0,)):
+            for name, other in (("grad_x", "grad_u"), ("grad_u", "grad_x")):
+                with pytest.raises(ConfigurationError, match=f"'b1' needs a callable {name}"):
+                    BarrierSpec(h=h, gamma=GAM, label="b1", **{name: bad, other: grad})
+        assert BarrierSpec(h=h, gamma=GAM, grad_x=grad, grad_u=grad).h is h
 
 
 def test_evaluated_barriers_need_their_value(acc_scenario, example1_scenario):

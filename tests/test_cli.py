@@ -285,11 +285,20 @@ def test_compare_error_halts_report_in_mode_order(tmp_path, capsys, deadline):
     assert_no_child_left()
 
 
+def _one_error_line(capsys, *parts):
+    """stderr is a single error line that contains each of parts."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("do-icbf: error: "), err
+    assert all(part in err for part in parts), err
+
+
 @pytest.mark.parametrize("blocked", ["icbf", "do_icbf"], ids=["baseline", "filter"])
-def test_compare_unwritable_csv_raises_after_joining(tmp_path, blocked, deadline, two_cpus):
+def test_compare_unwritable_csv_raises_after_joining(tmp_path, capsys, blocked, deadline,
+                                                      two_cpus):
     (tmp_path / f"trajectory_{blocked}.csv").mkdir()
-    with pytest.raises(IsADirectoryError):
-        run_cli("compare", "--scenario", "acc", "--t-end", "0.2", "--out", str(tmp_path))
+    assert run_cli("compare", "--scenario", "acc", "--t-end", "0.2",
+                   "--out", str(tmp_path)) == EXIT_CONFIG
+    _one_error_line(capsys, f"trajectory_{blocked}.csv")
     assert_no_child_left()
     assert len(two_cpus) == 1
     # the other mode's CSV is whole; no summary is written
@@ -299,7 +308,7 @@ def test_compare_unwritable_csv_raises_after_joining(tmp_path, blocked, deadline
     assert not (tmp_path / "summary.json").exists()
 
 
-def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline, two_cpus):
+def test_compare_child_death_is_an_error(tmp_path, capsys, monkeypatch, deadline, two_cpus):
     real = cli.run_closed_loop
 
     def dies_as_baseline(scenario, sim):
@@ -308,10 +317,24 @@ def test_compare_child_death_is_an_error(tmp_path, monkeypatch, deadline, two_cp
         return real(scenario, sim)
 
     monkeypatch.setattr(cli, "run_closed_loop", dies_as_baseline)
-    with pytest.raises(RuntimeError, match=r"^icbf: .*exited with code 9 "):
-        run_cli("compare", "--scenario", "acc", "--t-end", "0.2", "--out", str(tmp_path))
+    assert run_cli("compare", "--scenario", "acc", "--t-end", "0.2",
+                   "--out", str(tmp_path)) == EXIT_ERROR
+    _one_error_line(capsys, "do-icbf: error: icbf: ", "exited with code 9 ")
     assert_no_child_left()
-    assert (tmp_path / "trajectory_do_icbf.csv").exists()
+    # the other mode's CSV is whole; no summary is written
+    rows = (tmp_path / "trajectory_do_icbf.csv").read_text().splitlines()
+    assert len(rows) == 1 + round(0.2 / 1e-3) + 1
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [("run", "trajectory.csv"),
+                                              ("run", "summary.json"),
+                                              ("check", "validity.json")])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, blocked):
+    (tmp_path / blocked).mkdir()
+    argv = [command, "--scenario", "example1", "--out", str(tmp_path)]
+    assert run_cli(*argv, *(["--t-end", "0.1"] if command == "run" else [])) == EXIT_CONFIG
+    _one_error_line(capsys, blocked)
 
 
 def test_forked_compare_spools_each_log(tmp_path, monkeypatch, deadline, two_cpus):

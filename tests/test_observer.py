@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, ClassKFunction,
+from do_icbf import (AugmentedState, BarrierChain, BarrierSpec,
                      ConfigurationError, ContractViolationError,
                      DisturbanceBounds, ObserverConfig, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_constraints,
-                     check_gain_condition, error_envelope,
-                     finite_diff_gradient, run_closed_loop,
+                     check_gain_condition, error_envelope, linear_rate, run_closed_loop,
                      filter as qp, sinusoid_disturbance)
 
-from oracles import augmented_rhs, column, disturbance_estimate, rk4
+from oracles import augmented_rhs, column, disturbance_estimate, finite_diff_gradient, rk4
 
 BOUNDS = DisturbanceBounds(k0=2.0, k1=0.0)
 
@@ -149,7 +148,7 @@ def test_envelope_monotone_both_directions():
 
 def _margin(cfg, grad, model, x, t):
     """The robustness margin build_constraints puts on a barrier with this x-gradient."""
-    spec = BarrierSpec(h=lambda x, u: 1.0, gamma=ClassKFunction.linear(1.0),
+    spec = BarrierSpec(h=lambda x, u: 1.0, gamma=linear_rate(1.0),
                        grad_x=lambda x, u: grad, grad_u=lambda x, u: (0.0,))
     (c,), _, margin_max = build_constraints(model, (spec,), None, np.zeros(1), x,
                                             np.zeros(1), np.zeros(model.p),
@@ -190,7 +189,7 @@ def test_zero_envelope_margin_is_zero_for_an_infinite_gradient():
     # norm: in the check's fold of terms whose norms were computed, and in
     # build_constraints; once E > 0 the margin is the norm times E
     model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (1.0,), ell=lambda x: np.ones((1, 1)))
-    lower = BarrierSpec(h=lambda x, u: 1.0, gamma=ClassKFunction.linear(1.0),
+    lower = BarrierSpec(h=lambda x, u: 1.0, gamma=linear_rate(1.0),
                         grad_x=lambda x, u: (math.inf,), grad_u=lambda x, u: (0.0,), label="b0")
     top = dataclasses.replace(lower, grad_x=lambda x, u: (1.0,), grad_u=lambda x, u: (1.0,),
                               label="b1")

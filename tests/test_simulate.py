@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError, ClassKFunction,
+from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError,
                      ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
-                     rk4_step, run_closed_loop, simulate, sinusoid_disturbance,
+                     linear_rate, rk4_step, run_closed_loop, simulate, sinusoid_disturbance,
                      summarize)
 from do_icbf.control_laws import ZeroRate
 from oracles import column
@@ -69,8 +69,12 @@ def test_sim_config_validation():
         SimConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ConfigurationError):
         SimConfig(dt=1e-3, t_end=1e-4)
-    with pytest.raises(ConfigurationError):
-        SimConfig(dt=1e-3, t_end=1.0, log_stride=0)
+    # a stride is a whole number of steps: a float would log every
+    # ceil(stride)-th step, and a bool is no count
+    for stride in (0, -1, 2.5, 2.0, True, np.bool_(True), np.int64(0), "2"):
+        with pytest.raises(ConfigurationError, match="log_stride must be an integer >= 1"):
+            SimConfig(dt=1e-3, t_end=1.0, log_stride=stride)
+    assert SimConfig(dt=1e-2, t_end=0.2, log_stride=np.int64(3)).log_stride == 3
     with pytest.raises(ConfigurationError):
         SimConfig(dt=1e-3, t_end=1.0, filter_mode="none")
     # a NaN or infinite step or horizon has no step count
@@ -180,11 +184,11 @@ def _wall_scenario():
     model = SystemModel(n=2, m=1, p=1, F=lambda x, u: (x[1], u[0]), ell=lambda x: ell,
                         d_true=sinusoid_disturbance(0.2, 1.0))
     chain = BarrierChain(levels=(
-        BarrierSpec(h=lambda x, u: 1.0 - x[0], gamma=ClassKFunction.linear(k0), label="b0",
+        BarrierSpec(h=lambda x, u: 1.0 - x[0], gamma=linear_rate(k0), label="b0",
                     grad_x=lambda x, u: (-1.0, 0.0), grad_u=lambda x, u: (0.0,)),
-        BarrierSpec(h=None, gamma=ClassKFunction.linear(k1), label="b1",
+        BarrierSpec(h=None, gamma=linear_rate(k1), label="b1",
                     grad_x=lambda x, u: (-k0, -1.0), grad_u=lambda x, u: (0.0,)),
-        BarrierSpec(h=None, gamma=ClassKFunction.linear(k2), label="b2",
+        BarrierSpec(h=None, gamma=linear_rate(k2), label="b2",
                     grad_x=lambda x, u: (-k1 * k0, -k0 - k1), grad_u=lambda x, u: (-1.0,)),
     ))
     x0 = np.array([0.5, 0.2])
@@ -203,7 +207,7 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
     # the built-in chains give their top two levels one rate; a third top
     # rate shows a kernel that takes the top constraint's rate from below
     chain = bicycle_scenario.chain
-    top = dataclasses.replace(chain.levels[2], gamma=ClassKFunction.linear(3.0))
+    top = dataclasses.replace(chain.levels[2], gamma=linear_rate(3.0))
     own_top_rate = dataclasses.replace(
         bicycle_scenario, chain=BarrierChain(levels=chain.levels[:2] + (top,)))
     # two plain barriers next to a chain, and two with none, pin the order of

@@ -7,14 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from do_icbf import (BarrierChain, BarrierSpec, ClassKFunction, ContractViolationError,
+from do_icbf import (BarrierChain, BarrierSpec, ContractViolationError,
                      DisturbanceBounds, DomainBox, ObserverConfig, SplitMix64, SystemModel,
                      ValidityReport, build_acc, build_bicycle, build_example1,
-                     check_validity, error_envelope, filter as qp, sinusoid_disturbance)
+                     check_validity, error_envelope, filter as qp, linear_rate,
+                     sinusoid_disturbance)
 
 from oracles import reference_check_validity
 
-GAM = ClassKFunction.linear(1.0)
+GAM = linear_rate(1.0)
 BOX2 = DomainBox(x_low=(-2.0, -2.0), x_high=(2.0, 2.0), u_low=(-1.0, -1.0), u_high=(1.0, 1.0))
 
 
