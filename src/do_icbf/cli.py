@@ -21,6 +21,7 @@ import json
 import math
 import os
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .errors import ConfigurationError
 from .filter import ValidityReport, check_validity
 from .model import DisturbanceBounds
 from .scenarios import BUILDERS, build_scenario, constant_disturbance, sinusoid_disturbance
-from .simulate import SimConfig, run_closed_loop, summarize
+from .simulate import FILTER_MODES, SimConfig, run_closed_loop, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,15 +57,25 @@ class ChildDiedError(RuntimeError):
     """A forked child exited before it sent its result."""
 
 
-# The keys of a config that each command reads, of its `check` and of an acc
-# disturbance of each kind (all but "phase" required).
+# The keys of a config that each command reads and of its `check`; the JSON
+# type of each top-level field but schema and the two objects, and the name of
+# each type in an error; and the override names of the builder's x0 and u0.
 _SHARED_KEYS = ("schema", "scenario", "out", "overrides")
 _SIM_KEYS = _SHARED_KEYS + ("filter", "dt", "t_end", "log_stride")
 CONFIG_KEYS = {"run": _SIM_KEYS + ("emit_plot",), "compare": _SIM_KEYS + ("baseline",),
                "check": _SHARED_KEYS + ("check",)}
 CHECK_KEYS = ("resolution", "times", "barriers")
-DISTURBANCE_KEYS = {"constant": ("kind", "value"),
-                    "sinusoid": ("kind", "amplitude", "omega", "phase")}
+FIELD_TYPES = {"scenario": str, "filter": str, "baseline": str, "out": str, "emit_plot": bool,
+               "dt": float, "t_end": float, "log_stride": int}
+_KIND_NAMES = {str: "a string", bool: "a bool", int: "an integer", float: "a number"}
+_INITIAL = {"initial_x": "x0", "initial_u": "u0"}
+# Each kind of the `disturbance` override: its constructor, the constructor's
+# keywords (all but "phase" required) and its (k0, k1) bounds.
+DISTURBANCES = {
+    "constant": (constant_disturbance, ("value",), lambda value: (abs(value), 0.0)),
+    "sinusoid": (sinusoid_disturbance, ("amplitude", "omega", "phase"),
+                 lambda amplitude, omega, phase=0.0: (abs(amplitude), abs(amplitude * omega))),
+}
 
 
 def _json_object(value, name: str, accepted, required=(),
@@ -91,37 +102,26 @@ def _merge_config(args: argparse.Namespace) -> dict:
                                unknown=f"config key(s) {{keys}} for command {args.command!r}")
         if type(cfg.get("schema")) is not int or cfg["schema"] != 1:  # a JSON true is no 1
             raise ConfigurationError("config must declare \"schema\": 1")
-    for key in ("scenario", "filter", "baseline", "dt", "t_end", "out", "emit_plot"):
-        if getattr(args, key, None) is not None:
+    for key, kind in FIELD_TYPES.items():
+        if getattr(args, key, None) is not None:  # flags win; log_stride has none
             cfg[key] = getattr(args, key)
+        if key in cfg:
+            cfg[key] = _typed(cfg[key], kind, key)
     if "scenario" not in cfg:
         raise ConfigurationError("no scenario given (use --scenario or a config file)")
-    for key, kind in (("scenario", str), ("filter", str), ("baseline", str), ("out", str),
-                      ("emit_plot", bool)):
-        if key in cfg and type(cfg[key]) is not kind:
-            raise ConfigurationError(f"{key} must be {'a string' if kind is str else 'a bool'}, "
-                                     f"got {cfg[key]!r}")
     return cfg
 
 
-_INITIAL = (("initial_x", "x0"), ("initial_u", "u0"))
-
-
-def _number(value, name: str, integer: bool = False):
-    """A JSON number as a float, or with integer=True a JSON integer as an int;
-    anything else (a bool, NaN or Infinity too) is a ConfigurationError naming
-    the field."""
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise ConfigurationError(f"{name} must be {'an integer' if integer else 'a number'}, "
-                                 f"got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the range of a float
-        raise ConfigurationError(f"{name} must be finite, got an integer too large for a "
-                                 f"float") from None
-    if not finite:
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return value if integer else float(value)
+def _typed(value, kind: type, name: str):
+    """A JSON value of the given kind (str, bool or int; float is any JSON
+    number, returned as a float); anything else, a bool for a number, NaN or
+    Infinity too, is a ConfigurationError naming the field."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ConfigurationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind in (int, float) and not abs(value) <= sys.float_info.max:  # NaN fails too
+        got = "an integer too large for a float" if type(value) is int else repr(value)
+        raise ConfigurationError(f"{name} must be finite, got {got}")
+    return float(value) if kind is float else value
 
 
 def _build_from_config(cfg: dict):
@@ -132,41 +132,33 @@ def _build_from_config(cfg: dict):
     # JSON reaches the numeric keywords; initial_x / initial_u rename x0 / u0,
     # offered where the builder has them
     accepted = {key for key, param in params.items() if isinstance(param.default, (int, float))}
-    accepted |= {field for field, param in _INITIAL if param in params}
-    if name == "acc":
+    accepted |= {field for field, param in _INITIAL.items() if param in params}
+    if {"d_true", "bounds"} <= params.keys():
         accepted.add("disturbance")
     overrides = dict(_json_object(cfg.get("overrides", {}), "overrides", accepted,
                                   unknown=f"override {{keys}} for scenario {name!r}"))
     dist = overrides.pop("disturbance", None)
     for key, value in overrides.items():
-        if key not in ("initial_x", "initial_u"):
-            _number(value, f"overrides.{key}")
+        if key not in _INITIAL:
+            _typed(value, float, f"overrides.{key}")
         elif isinstance(value, list):  # the builder checks the length
             for i, v in enumerate(value):
-                _number(v, f"overrides.{key}[{i}]")
+                _typed(v, float, f"overrides.{key}[{i}]")
         else:
             raise ConfigurationError(f"overrides.{key} must be a list of numbers, got {value!r}")
     if dist is not None:
         kind = dist.get("kind") if isinstance(dist, dict) else None
-        if isinstance(dist, dict) and kind not in ("constant", "sinusoid"):
-            raise ConfigurationError(f"overrides.disturbance.kind must be \"constant\" or "
-                                     f"\"sinusoid\", got {kind!r}")
-        accepted = DISTURBANCE_KEYS.get(kind, ())
-        required = [key for key in accepted if key != "phase"]
-        num = {key: _number(v, f"overrides.disturbance.{key}") for key, v in
-               _json_object(dist, "overrides.disturbance", accepted, required).items()
+        if isinstance(dist, dict) and kind not in DISTURBANCES:
+            raise ConfigurationError(f"overrides.disturbance.kind must be "
+                                     f"{' or '.join(map(json.dumps, DISTURBANCES))}, got {kind!r}")
+        make, keys, bounds = DISTURBANCES.get(kind, (None, (), None))  # a non-object fails next
+        num = {key: _typed(v, float, f"overrides.disturbance.{key}") for key, v in
+               _json_object(dist, "overrides.disturbance", ("kind",) + keys,
+                            ("kind",) + tuple(key for key in keys if key != "phase")).items()
                if key != "kind"}
-        if kind == "constant":
-            overrides["d_true"] = constant_disturbance(num["value"])
-            overrides["bounds"] = DisturbanceBounds(k0=abs(num["value"]), k1=0.0)
-        else:
-            amp, omega = num["amplitude"], num["omega"]
-            overrides["d_true"] = sinusoid_disturbance(amp, omega, num.get("phase", 0.0))
-            overrides["bounds"] = DisturbanceBounds(k0=abs(amp), k1=abs(amp * omega))
-    for field_name, param in _INITIAL:
-        if field_name in overrides:
-            overrides[param] = overrides.pop(field_name)
-    return build_scenario(name, **overrides)
+        overrides["d_true"] = make(**num)
+        overrides["bounds"] = DisturbanceBounds(*bounds(**num))
+    return build_scenario(name, **{_INITIAL.get(key, key): v for key, v in overrides.items()})
 
 
 def _outdir(cfg: dict) -> Path:
@@ -186,10 +178,9 @@ def _sim_configs(cfg: dict, scenario, command: str) -> list:
         modes.append(cfg.get("baseline", scenario.baseline_mode))
         if modes[0] == modes[1]:
             raise ConfigurationError(f"degenerate comparison: both modes are {modes[0]!r}")
-    settings = {key: _number(cfg[key], key, integer=key == "log_stride")
-                for key in ("dt", "log_stride") if key in cfg}
-    t_end = _number(cfg.get("t_end", scenario.default_t_end), "t_end")
-    return [SimConfig(t_end=t_end, filter_mode=mode, **settings) for mode in modes]
+    settings = {"t_end": scenario.default_t_end}
+    settings.update((key, cfg[key]) for key in ("dt", "t_end", "log_stride") if key in cfg)
+    return [SimConfig(filter_mode=mode, **settings) for mode in modes]
 
 
 def _check_plan(cfg: dict, scenario) -> tuple:
@@ -217,7 +208,7 @@ def _check_plan(cfg: dict, scenario) -> tuple:
                                  f"such ints, got {resolution!r}")
     times = check.get("times")
     if times is not None and not (isinstance(times, list) and times and all(
-            type(t) in (int, float) and math.isfinite(t) and t >= 0 for t in times)):
+            type(t) in (int, float) and 0 <= t <= sys.float_info.max for t in times)):
         raise ConfigurationError(f"check.times must be a non-empty list of finite numbers "
                                  f">= 0, got {times!r}")
     return targets, box, resolution, times
@@ -345,7 +336,7 @@ def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> in
     summary["config"] = _config_echo(cfg, sim)
     _write_json(out / "summary.json", summary)
     if command == "run" and cfg.get("emit_plot"):
-        (out / "plot.gp").write_text(plot_script(log), encoding="utf-8")
+        (out / "plot.gp").write_text(plot_script(log, scenario), encoding="utf-8")
     print("\n".join(lines))
     return max(_HALT_EXIT[m["halt_reason"]] for m in per_mode.values())
 
@@ -383,52 +374,29 @@ def cmd_check(scenario, targets: list, box, resolution, times, out: Path) -> int
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-def plot_script(log) -> str:
-    """gnuplot script rendering the run's three standard panels from the CSV."""
-    col = {name: i + 1 for i, name in enumerate(log.header)}  # gnuplot is 1-based
+def plot_script(log, scenario) -> str:
+    """gnuplot script rendering three panels of the run from the CSV header:
+    every state; every barrier value, with a dashed zero line; and each
+    disturbance with its estimate where the scenario bounds the disturbance
+    away from zero, else each input; all against time."""
+    bounds = scenario.obs_cfg.bounds
+    last = ("disturbance", r"d\d+|dhat\d+") if bounds.k0 or bounds.k1 else ("inputs", r"u\d+")
     lines = [
         "# gnuplot script; run from the directory containing trajectory.csv",
         "set datafile separator ','",
         "set key autotitle columnhead",
-        "set terminal pngcairo size 1500,420",
+        "set terminal pngcairo noenhanced size 1500,420",  # labels keep their underscores
         f"set output '{log.scenario_name}_{log.filter_mode}.png'",
         "set multiplot layout 1,3",
+        "set xlabel 't [s]'",
+        "data = 'trajectory.csv'",
     ]
-    if log.scenario_name == "bicycle":
-        lines += [
-            "set size ratio -1",
-            "set object 1 circle at 0,0 size 1 fillcolor rgb 'green' fillstyle solid 0.3",
-            "set xlabel 'x [m]'; set ylabel 'y [m]'",
-            f"plot 'trajectory.csv' using {col['x0']}:{col['x1']} with lines title 'trajectory'",
-            "unset object 1",
-            "set size noratio",
-            "set xlabel 't [s]'; set ylabel 'barrier values'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['b_b0']} with lines title 'b0', \\",
-            f"     '' using {col['t']}:{col['b_b1']} with lines title 'b1', \\",
-            f"     '' using {col['t']}:{col['b_b2']} with lines title 'b2'",
-            "set xlabel 't [s]'; set ylabel 'heading [rad]'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['x2']} with lines title 'psi'",
-        ]
-    elif log.scenario_name == "example1":
-        lines += [
-            "set xlabel 't [s]'; set ylabel 'state'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['x0']} with lines title 'x'",
-            "set xlabel 't [s]'; set ylabel 'barrier values'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['b_h_x']} with lines title 'h_x', \\",
-            f"     '' using {col['t']}:{col['b_h_u']} with lines title 'h_u'",
-            "set xlabel 't [s]'; set ylabel 'input'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['u0']} with lines title 'u'",
-        ]
-    else:
-        lines += [
-            "set xlabel 't [s]'; set ylabel 'speed [m/s]'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['x1']} with lines title 'x2'",
-            "set xlabel 't [s]'; set ylabel 'headway barrier'",
-            f"plot 'trajectory.csv' using {col['t']}:{col.get('b_h_x', col['t'])} with lines title 'h_x', 0 with lines dashtype 2 title ''",
-            "set xlabel 't [s]'; set ylabel 'disturbance [m/s]'",
-            f"plot 'trajectory.csv' using {col['t']}:{col['d0']} with lines title 'd', \\",
-            f"     '' using {col['t']}:{col['dhat0']} with lines title 'd estimate'",
-        ]
+    for ylabel, pattern in [("states", r"x\d+"), ("barrier values", r"b_.*"), last]:
+        curves = [f"data using 1:{i + 1} with lines title '{name}'"  # columns count from 1
+                  for i, name in enumerate(log.header) if re.fullmatch(pattern, name)]
+        if ylabel == "barrier values":
+            curves.append("0 with lines dashtype 2 title ''")
+        lines += [f"set ylabel '{ylabel}'", "plot " + ", \\\n     ".join(curves)]
     lines.append("unset multiplot")
     return "\n".join(lines) + "\n"
 
@@ -444,7 +412,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help=f"built-in scenario name ({', '.join(sorted(BUILDERS))})")
         p.add_argument("--config", help="path to a JSON config file (schema 1)")
         if simulates:
-            p.add_argument("--filter", help="filter mode: off | icbf | do_icbf | high_order")
+            p.add_argument("--filter", help=f"filter mode: {' | '.join(FILTER_MODES)}")
             p.add_argument("--dt", type=float, help="integration step [s]")
             p.add_argument("--t-end", dest="t_end", type=float, help="horizon [s]")
         p.add_argument("--out", help="output directory (default $DO_ICBF_OUT or ./do-icbf-out)")

@@ -54,9 +54,9 @@ class SimConfig:
     filter_mode: str = "do_icbf"
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:  # also rejects NaN
+        if isinstance(self.dt, (bool, np.bool_)) or not 0.0 < self.dt < math.inf:  # rejects NaN
             raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
-        if not self.dt <= self.t_end < math.inf:
+        if isinstance(self.t_end, (bool, np.bool_)) or not self.dt <= self.t_end < math.inf:
             raise ConfigurationError(f"t_end must be finite and >= dt, got {self.t_end}")
         if not math.isfinite(self.t_end / self.dt):
             raise ConfigurationError(f"t_end / dt must be a finite step count, got "

@@ -62,7 +62,7 @@ def test_run_emits_plot_script(tmp_path, scenario):
     script = (tmp_path / "plot.gp").read_text()
     assert "trajectory.csv" in script
     assert "multiplot" in script
-    marker = {"acc": "headway barrier", "bicycle": "circle at 0,0", "example1": "title 'h_u'"}
+    marker = {"acc": "title 'dhat0'", "bicycle": "title 'u0'", "example1": "title 'b_h_u'"}
     assert marker[scenario] in script
     ncols = len((tmp_path / "trajectory.csv").read_text().splitlines()[0].split(","))
     for a, b in re.findall(r"using (\d+):(\d+)", script):

@@ -1,0 +1,80 @@
+"""The CLI knows no scenario by name: the plot script is read from the log
+header and the scenario's disturbance bounds, and the `disturbance` override
+is offered to any builder that takes d_true and bounds. A config number is
+checked without converting it to a float, so one too large for a float is a
+config error that names its field."""
+
+import dataclasses
+import json
+import re
+
+import pytest
+
+from do_icbf import build_acc, build_bicycle, build_example1, cli, scenarios, simulate
+
+
+def panels(script):
+    """The (ylabel, plot command) of each panel of a plot script."""
+    return re.findall(r"set ylabel '([^']*)'\nplot ((?:.*, \\\n)*.*)\n", script)
+
+
+@pytest.mark.parametrize("build,last", [
+    (lambda: dataclasses.replace(build_acc(), name="custom"), ("disturbance", ["d0", "dhat0"])),
+    (build_bicycle, ("inputs", ["u0"])),
+    (build_example1, ("inputs", ["u0"])),
+], ids=["renamed-acc", "bicycle", "example1"])
+def test_plot_script_is_read_from_the_header(build, last):
+    scenario = build()
+    log = simulate.TrajectoryLog(scenario, simulate.SimConfig())
+    header = log.header
+    script = cli.plot_script(log, scenario)
+    assert f"set output '{scenario.name}_do_icbf.png'" in script
+    drawn = []
+    for ylabel, plot in panels(script):
+        curves = re.findall(r"using (\d+):(\d+) with lines title '([^']*)'", plot)
+        for a, b, title in curves:
+            # t against the column the curve is titled by, both in range
+            assert 1 <= int(a) <= len(header) and 1 <= int(b) <= len(header)
+            assert (header[int(a) - 1], header[int(b) - 1]) == ("t", title)
+        drawn.append((ylabel, [title for _, _, title in curves],
+                      "0 with lines dashtype 2" in plot))
+    assert drawn == [
+        ("states", [name for name in header if re.fullmatch(r"x\d+", name)], False),
+        ("barrier values", [name for name in header if name.startswith("b_")], True),
+        (*last, False),
+    ]
+    assert "circle" not in script
+
+
+def test_disturbance_override_is_offered_by_signature(tmp_path, monkeypatch, capsys):
+    # a builder registered under any name that takes d_true and bounds gets it
+    monkeypatch.setitem(scenarios.BUILDERS, "platoon", build_acc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "platoon", "t_end": 0.1, "dt": 0.01,
+                               "overrides": {"disturbance": {"kind": "constant", "value": 0.5}},
+                               "out": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OK
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    d0 = rows[0].split(",").index("d0")
+    assert {float(row.split(",")[d0]) for row in rows[1:]} == {0.5}
+    # builders without those keywords do not
+    for name in ("bicycle", "example1"):
+        cfg.write_text(json.dumps({"schema": 1, "scenario": name, "t_end": 0.1,
+                                   "overrides": {"disturbance": {"kind": "constant",
+                                                                 "value": 0.5}},
+                                   "out": str(tmp_path / name)}))
+        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown override 'disturbance' for scenario {name!r}" in err
+        assert "disturbance" not in err.split("accepted: ")[1].strip().split(", ")
+        assert not (tmp_path / name).exists()
+
+
+def test_check_time_beyond_a_float_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "example1", "check": {"times": [10 ** 400]},
+                               "out": str(tmp_path / "out")}))
+    assert cli.main(["check", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("do-icbf: error: check.times must be a non-empty list of finite")
+    assert not (tmp_path / "out").exists()

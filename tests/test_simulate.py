@@ -75,6 +75,12 @@ def test_sim_config_validation():
         with pytest.raises(ConfigurationError, match="log_stride must be an integer >= 1"):
             SimConfig(dt=1e-3, t_end=1.0, log_stride=stride)
     assert SimConfig(dt=1e-2, t_end=0.2, log_stride=np.int64(3)).log_stride == 3
+    # nor is a bool a step or a horizon, though it compares as 0 or 1
+    for true in (True, np.bool_(True)):
+        with pytest.raises(ConfigurationError, match="^dt must be finite and > 0, got True"):
+            SimConfig(dt=true, t_end=2)
+        with pytest.raises(ConfigurationError, match="^t_end must be finite and >= dt, got True"):
+            SimConfig(dt=1e-2, t_end=true)
     with pytest.raises(ConfigurationError):
         SimConfig(dt=1e-3, t_end=1.0, filter_mode="none")
     # a NaN or infinite step or horizon has no step count
