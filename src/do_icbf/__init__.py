@@ -8,7 +8,7 @@ simulator, and two vehicle benchmarks plus a CLI.
 
 from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .control_laws import PredictiveCruiseRate, StanleyRateLaw
-from .errors import BlowupError, ConfigurationError, ContractViolationError
+from .errors import BlowupError, ConfigurationError
 from .filter import (FilterConstraint, FilterResult, ValidityReport,
                      build_constraints, check_validity, solve_multi)
 from .model import AugmentedState, DisturbanceBounds, SystemModel, linear_rate

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError
 from .model import Array
 
 EPS_P = 1e-8  # below this the input gradient counts as zero
@@ -103,4 +103,4 @@ class DomainBox:
         for name in ("x_low", "x_high", "u_low", "u_high"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.x_low > self.x_high) or np.any(self.u_low > self.u_high):
-            raise ContractViolationError("domain box is empty (a lower bound exceeds an upper bound)")
+            raise ConfigurationError("domain box is empty (a lower bound exceeds an upper bound)")

@@ -232,13 +232,16 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_mode(scenario, sim: SimConfig, csv: Path) -> tuple:
-    """Simulate, summarize and write the CSV of one mode; returns the log and
-    the mode's (metrics, halt_reason, halt_message)."""
+def _run_mode(scenario, sim: SimConfig, csv: Path, name: str, plot: bool) -> tuple:
+    """Simulate, summarize and write the CSV of one mode, and with plot the
+    gnuplot script plot.gp of the run `name` beside it; returns the mode's
+    (metrics, halt_message)."""
     log = run_closed_loop(scenario, sim)
     metrics = summarize(log, scenario)
     log.write_csv(csv)
-    return log, (metrics, log.halt_reason, log.halt_message)
+    if plot:
+        (csv.parent / "plot.gp").write_text(plot_script(log, scenario, name), encoding="utf-8")
+    return metrics, log.halt_message
 
 
 def _fork(name: str, work) -> tuple:
@@ -303,7 +306,8 @@ def _run_tasks(tasks: list, fork: bool) -> list:
 
 def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> int:
     """Run, summarize and write the CSV of each mode, then the summary of the
-    `run` or `compare` kind; returns the exit code of the worst halt.
+    `run` or `compare` kind, all under the run's name cfg["scenario"];
+    returns the exit code of the worst halt.
 
     When the process may use more than one CPU, each mode after the first
     runs at the same time in a forked child, which writes its own CSV and
@@ -313,17 +317,16 @@ def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> in
     order, as from one mode after the other."""
     csvs = [out / ("trajectory.csv" if command == "run" else f"trajectory_{sim.filter_mode}.csv")
             for sim in sims]
-    tasks = [(sims[0].filter_mode, lambda: _run_mode(scenario, sims[0], csvs[0]))]
-    tasks += [(sim.filter_mode, lambda sim=sim, csv=csv: _run_mode(scenario, sim, csv)[1])
-              for sim, csv in zip(sims[1:], csvs[1:])]
+    name, plot = cfg["scenario"], command == "run" and bool(cfg.get("emit_plot"))
+    tasks = [(sim.filter_mode, lambda sim=sim, csv=csv: _run_mode(scenario, sim, csv, name, plot))
+             for sim, csv in zip(sims, csvs)]
     fork = len(tasks) > 1 and len(os.sched_getaffinity(0)) > 1
-    (log, first), *replies = _run_tasks(tasks, fork)
     per_mode = {}
-    for sim, (metrics, halt_reason, halt_message) in zip(sims, [first, *replies]):
+    for sim, (metrics, halt_message) in zip(sims, _run_tasks(tasks, fork)):
         per_mode[sim.filter_mode] = metrics
-        if halt_reason == "error":
+        if metrics["halt_reason"] == "error":
             print(f"do-icbf: error: {sim.filter_mode}: {halt_message}", file=sys.stderr)
-    summary = {"schema": 1, "kind": command, "scenario": scenario.name}
+    summary = {"schema": 1, "kind": command, "scenario": name}
     if command == "run":
         summary.update(filter=sim.filter_mode, metrics=metrics)
         lines = [f"wrote {csvs[0]} ({metrics['steps_logged']} rows, "
@@ -335,8 +338,6 @@ def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> in
                  for mode, m in per_mode.items()]
     summary["config"] = _config_echo(cfg, sim)
     _write_json(out / "summary.json", summary)
-    if command == "run" and cfg.get("emit_plot"):
-        (out / "plot.gp").write_text(plot_script(log, scenario), encoding="utf-8")
     print("\n".join(lines))
     return max(_HALT_EXIT[m["halt_reason"]] for m in per_mode.values())
 
@@ -367,18 +368,18 @@ def cmd_check(scenario, targets: list, box, resolution, times, out: Path) -> int
     for other in extra:
         report.valid = report.valid and other.valid
         report.counterexamples.extend(other.counterexamples)
-    (out / "validity.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_json(out / "validity.json", vars(report))
     verdict = "valid" if report.valid else f"{len(report.counterexamples)} counterexamples"
     print(f"wrote {out / 'validity.json'} ({verdict}, "
           f"relative_degree={report.relative_degree})")
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-def plot_script(log, scenario) -> str:
-    """gnuplot script rendering three panels of the run from the CSV header:
-    every state; every barrier value, with a dashed zero line; and each
-    disturbance with its estimate where the scenario bounds the disturbance
-    away from zero, else each input; all against time."""
+def plot_script(log, scenario, name: str) -> str:
+    """gnuplot script rendering three panels of the run `name` from the CSV
+    header: every state; every barrier value, with a dashed zero line; and
+    each disturbance with its estimate where the scenario bounds the
+    disturbance away from zero, else each input; all against time."""
     bounds = scenario.obs_cfg.bounds
     last = ("disturbance", r"d\d+|dhat\d+") if bounds.k0 or bounds.k1 else ("inputs", r"u\d+")
     lines = [
@@ -386,14 +387,14 @@ def plot_script(log, scenario) -> str:
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set terminal pngcairo noenhanced size 1500,420",  # labels keep their underscores
-        f"set output '{log.scenario_name}_{log.filter_mode}.png'",
+        f"set output '{name}_{log.filter_mode}.png'",
         "set multiplot layout 1,3",
         "set xlabel 't [s]'",
         "data = 'trajectory.csv'",
     ]
     for ylabel, pattern in [("states", r"x\d+"), ("barrier values", r"b_.*"), last]:
-        curves = [f"data using 1:{i + 1} with lines title '{name}'"  # columns count from 1
-                  for i, name in enumerate(log.header) if re.fullmatch(pattern, name)]
+        curves = [f"data using 1:{i + 1} with lines title '{col}'"  # columns count from 1
+                  for i, col in enumerate(log.header) if re.fullmatch(pattern, col)]
         if ylabel == "barrier values":
             curves.append("0 with lines dashtype 2 title ''")
         lines += [f"set ylabel '{ylabel}'", "plot " + ", \\\n     ".join(curves)]
@@ -437,8 +438,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     # One prepare step: every config error exits 1 here, before anything is
-    # written (ConfigurationError and ContractViolationError are ValueErrors;
-    # a builder's arithmetic on a degenerate parameter raises ArithmeticError).
+    # written (a ConfigurationError is a ValueError; a builder's arithmetic on
+    # a degenerate parameter raises ArithmeticError).
     try:
         cfg = _merge_config(args)
         scenario = _build_from_config(cfg)

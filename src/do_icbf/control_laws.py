@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import ContractViolationError
+from .errors import ConfigurationError
 from .model import Array
 
 
@@ -35,13 +35,13 @@ class PredictiveCruiseRate:
     def __init__(self, *, T: float, alpha: float, c0: float, c1: float, mass: float,
                  v_d: float):
         if not (T > 0.0 and c1 > 0.0 and mass > 0.0):
-            raise ContractViolationError(f"need T > 0, c1 > 0, mass > 0; got T={T}, c1={c1}, "
-                                         f"mass={mass}")
+            raise ConfigurationError(f"need T > 0, c1 > 0, mass > 0; got T={T}, c1={c1}, "
+                                     f"mass={mass}")
         self.c0, self.c1, self.mass, self.v_d = c0, c1, mass, v_d
         self._decay = math.exp(-c1 * T / mass)
         if self._decay == 1.0:  # the gain would divide by zero
-            raise ContractViolationError(f"exp(-c1 T / mass) rounds to 1, so the gain is "
-                                         f"undefined; got T={T}, c1={c1}, mass={mass}")
+            raise ConfigurationError(f"exp(-c1 T / mass) rounds to 1, so the gain is "
+                                     f"undefined; got T={T}, c1={c1}, mass={mass}")
         self._gain = alpha * c1 / (self._decay - 1.0)
 
     def predicted_output(self, x2: float, u: float) -> float:
@@ -71,9 +71,9 @@ class StanleyRateLaw:
     def __init__(self, *, k: float, point: Sequence[float], heading: float,
                  max_steer: float = 1.0):
         if k <= 0.0:
-            raise ContractViolationError(f"cross-track gain must be > 0, got {k}")
+            raise ConfigurationError(f"cross-track gain must be > 0, got {k}")
         if not 0.0 < max_steer < math.pi / 2:
-            raise ContractViolationError(f"max_steer must be in (0, pi/2), got {max_steer}")
+            raise ConfigurationError(f"max_steer must be in (0, pi/2), got {max_steer}")
         self.k = k
         self.point = (float(point[0]), float(point[1]))
         self.heading = float(heading)
@@ -93,7 +93,7 @@ class StanleyRateLaw:
         controller uses). Result wrapped to (-pi, pi].
         """
         if v <= 0.0:
-            raise ContractViolationError(f"speed must be > 0, got {v}")
+            raise ConfigurationError(f"speed must be > 0, got {v}")
         x, y, psi = float(pose[0]), float(pose[1]), float(pose[2])
         e = self.cross_track(x, y)
         return wrap_angle(wrap_angle(self.heading - psi) + math.atan(self.k * e / v))

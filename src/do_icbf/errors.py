@@ -1,12 +1,10 @@
 """Exception types shared across the toolkit."""
 
 
-class ContractViolationError(ValueError):
-    """An argument violates a documented precondition (wrong dimension, bad sign, ...)."""
-
-
 class ConfigurationError(ValueError):
-    """A config object is internally inconsistent (bad gains, missing pieces, ...)."""
+    """An argument or config value is unusable: a violated precondition (wrong
+    dimension, bad sign, ...) or an inconsistent config (bad gains, missing
+    pieces, ...)."""
 
 
 class BlowupError(ArithmeticError):

@@ -28,7 +28,6 @@ once and folds them at each distinct envelope.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -36,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .barriers import EPS_P, BarrierChain, BarrierSpec, DomainBox, require_values
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError
 from .model import Array, SystemModel
 from .observer import ObserverConfig, error_envelope
 
@@ -261,17 +260,6 @@ class ValidityReport:
     relative_degree: int
     counterexamples: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "valid": self.valid,
-                "relative_degree": self.relative_degree,
-                "counterexamples": self.counterexamples,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
     @staticmethod
     def merge(parts: Sequence["ValidityReport"]) -> "ValidityReport":
         """The report of a whole grid from the reports of its blocks, in block
@@ -287,11 +275,11 @@ def _grid_axes(box: DomainBox, resolution) -> list:
     if isinstance(resolution, int):
         resolution = [resolution] * dims
     if len(resolution) != dims:
-        raise ContractViolationError(
+        raise ConfigurationError(
             f"resolution: expected {dims} per-axis counts or a single int, got {resolution}"
         )
     if any(r < 2 for r in resolution):
-        raise ContractViolationError("grid resolution must be >= 2 per axis")
+        raise ConfigurationError("grid resolution must be >= 2 per axis")
     lows = np.concatenate([box.x_low, box.u_low])
     highs = np.concatenate([box.x_high, box.u_high])
     return [np.linspace(lows[i], highs[i], resolution[i]) for i in range(dims)]
@@ -342,7 +330,7 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
             times = [0.0]
     k, parts = block
     if not 0 <= k < parts:
-        raise ContractViolationError(f"block: expected (k, K) with 0 <= k < K, got {block}")
+        raise ConfigurationError(f"block: expected (k, K) with 0 <= k < K, got {block}")
     axes = _grid_axes(box, resolution)
     envelopes = [error_envelope(obs_cfg, t) if obs_cfg is not None else 0.0 for t in times]
     distinct = list(dict.fromkeys(envelopes))

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigurationError
 
 Array = np.ndarray
 
@@ -21,7 +21,7 @@ Array = np.ndarray
 def _as_vector(val, length: int, name: str) -> Array:
     v = np.asarray(val, dtype=float)
     if v.ndim != 1 or v.shape[0] != length:
-        raise ContractViolationError(
+        raise ConfigurationError(
             f"{name}: expected a vector of length {length}, got shape {v.shape}"
         )
     return v
@@ -51,7 +51,7 @@ class SystemModel:
 def linear_rate(slope: float) -> Callable[[float], float]:
     """The class-K rate s -> slope * s; slope must be > 0."""
     if slope <= 0.0:
-        raise ContractViolationError(f"linear class-K slope must be > 0, got {slope}")
+        raise ConfigurationError(f"linear class-K slope must be > 0, got {slope}")
     return lambda s: slope * s
 
 
@@ -64,7 +64,7 @@ class DisturbanceBounds:
 
     def __post_init__(self):
         if self.k0 < 0.0 or self.k1 < 0.0:
-            raise ContractViolationError(
+            raise ConfigurationError(
                 f"disturbance bounds must be nonnegative, got k0={self.k0}, k1={self.k1}"
             )
 

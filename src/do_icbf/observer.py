@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError
 from .model import Array, DisturbanceBounds, SystemModel
 
 log = logging.getLogger(__name__)
@@ -80,7 +80,7 @@ def error_envelope(cfg: ObserverConfig, t: float) -> float:
     Equals e_d0_bound at t = 0 and approaches k1 / sqrt(2 mu1 lam) as t grows.
     """
     if t < 0.0:
-        raise ContractViolationError(f"t must be >= 0, got {t}")
+        raise ConfigurationError(f"t must be >= 0, got {t}")
     two_ml = 2.0 * cfg.mu1 * cfg.lam
     decay = math.exp(-2.0 * cfg.lam * t)
     e0 = cfg.e_d0_bound

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barriers import BarrierChain, BarrierSpec, DomainBox, require_values
-from .errors import BlowupError, ConfigurationError, ContractViolationError
+from .errors import BlowupError, ConfigurationError
 from .filter import build_constraints, solve_1d, solve_multi
 from .model import Array, AugmentedState, SystemModel, _as_vector
 from .observer import ObserverConfig, error_envelope
@@ -160,7 +160,6 @@ class TrajectoryLog:
         self.spool = None
         self.halt_reason = "completed"
         self.halt_message = ""
-        self.scenario_name = scenario.name
         self.filter_mode = cfg.filter_mode
         self.dt = cfg.dt
         self.fold: dict = {}
@@ -203,7 +202,7 @@ def _spill(rows: array, spool):
 def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float) -> Array:
     """Classical 4-stage Runge-Kutta update; raises BlowupError on non-finite values."""
     if dt <= 0.0:
-        raise ContractViolationError(f"dt must be > 0, got {dt}")
+        raise ConfigurationError(f"dt must be > 0, got {dt}")
     k1 = rhs(t, z)
     k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
     k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
@@ -512,7 +511,7 @@ def summarize(log: TrajectoryLog, scenario: Optional[Scenario] = None) -> dict:
     """Metrics of a run: the loop's fold over every decided step, which does
     not depend on log_stride, with the halt, the row count and tracking."""
     if not len(log.rows):
-        raise ContractViolationError("cannot summarize an empty log")
+        raise ConfigurationError("cannot summarize an empty log")
     metrics = dict(log.fold, halt_reason=log.halt_reason, steps_logged=len(log.rows))
     metrics["unsafe"] = any(v < -1e-3 for v in log.fold["barrier_min"].values())
     if scenario is not None and scenario.tracking_fn is not None:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
-                     ContractViolationError, ValidityReport, build_constraints,
+                     ValidityReport, build_constraints,
                      error_envelope)
 from do_icbf.barriers import EPS_P
 from do_icbf.filter import _grid_axes
@@ -44,7 +44,7 @@ def finite_diff_gradient(f, point, step):
     ArithmeticError if f returns a non-finite value near `point`.
     """
     if step <= 0.0:
-        raise ContractViolationError(f"step: must be > 0, got {step}")
+        raise ConfigurationError(f"step: must be > 0, got {step}")
     point = np.asarray(point, dtype=float)
     grad = np.empty_like(point)
     for i in range(point.shape[0]):

@@ -1,6 +1,7 @@
 """The CLI knows no scenario by name: the plot script is read from the log
-header and the scenario's disturbance bounds, and the `disturbance` override
-is offered to any builder that takes d_true and bounds. A config number is
+header and the scenario's disturbance bounds, the `disturbance` override is
+offered to any builder that takes d_true and bounds, and a run is named by
+its config's `scenario`. A config number is
 checked without converting it to a float, so one too large for a float is a
 config error that names its field."""
 
@@ -27,7 +28,7 @@ def test_plot_script_is_read_from_the_header(build, last):
     scenario = build()
     log = simulate.TrajectoryLog(scenario, simulate.SimConfig())
     header = log.header
-    script = cli.plot_script(log, scenario)
+    script = cli.plot_script(log, scenario, scenario.name)
     assert f"set output '{scenario.name}_do_icbf.png'" in script
     drawn = []
     for ylabel, plot in panels(script):
@@ -68,6 +69,19 @@ def test_disturbance_override_is_offered_by_signature(tmp_path, monkeypatch, cap
         assert f"unknown override 'disturbance' for scenario {name!r}" in err
         assert "disturbance" not in err.split("accepted: ")[1].strip().split(", ")
         assert not (tmp_path / name).exists()
+
+
+def test_a_run_is_named_by_its_config(tmp_path, monkeypatch):
+    # a builder registered under another name runs under that name in the
+    # summary, its config echo and the plot script's output file
+    monkeypatch.setitem(scenarios.BUILDERS, "platoon", build_acc)
+    for command, extra in (("run", ["--emit-plot"]), ("compare", [])):
+        out = tmp_path / command
+        assert cli.main([command, "--scenario", "platoon", "--t-end", "0.1", "--out", str(out),
+                         *extra]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["scenario"] == summary["config"]["scenario"] == "platoon"
+    assert "set output 'platoon_do_icbf.png'\n" in (tmp_path / "run" / "plot.gp").read_text()
 
 
 def test_check_time_beyond_a_float_is_a_config_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (ContractViolationError, PredictiveCruiseRate, SplitMix64,
+from do_icbf import (ConfigurationError, PredictiveCruiseRate, SplitMix64,
                      StanleyRateLaw)
 from do_icbf.control_laws import wrap_angle
 
@@ -75,7 +75,7 @@ def test_acc_rate_zero_prediction_and_sign():
 
 def test_acc_rate_rejects_zero_horizon():
     for T in (0.0, -1.0):
-        with pytest.raises(ContractViolationError, match="T > 0"):
+        with pytest.raises(ConfigurationError, match="T > 0"):
             PredictiveCruiseRate(T=T, **TABLE)
 
 
@@ -103,7 +103,7 @@ def test_stanley_steer_quarter_turn_example():
 
 
 def test_stanley_steer_requires_positive_speed():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         _line().steer((0.0, 0.0, 0.0), 0.0)
 
 

@@ -111,6 +111,20 @@ def test_solve_multi_against_independent_oracles():
             assert np.linalg.norm(res.v_star - v_as) <= 1e-9
 
 
+def test_solve_multi_feasibility_tolerance_scales_with_the_instance():
+    # m = 2 with |p| up to 1e6 and rhs in [1e11, 1e13]: two half-planes with
+    # independent normals always meet, and the candidate's roundoff grows with
+    # |rhs|, so an unscaled tolerance would call nearly half of these infeasible
+    rng = SplitMix64(5)
+    for _ in range(40):
+        P = np.array([[rng.uniform(-1e6, 1e6) for _ in range(2)] for _ in range(2)])
+        r = np.array([rng.uniform(1e11, 1e13) for _ in range(2)])
+        res = solve_multi([FilterConstraint(P[i], r[i]) for i in range(2)])
+        v_as = active_set_oracle(P, r)
+        assert not res.infeasible and v_as is not None
+        assert np.linalg.norm(res.v_star - v_as) <= 1e-9 * np.linalg.norm(v_as)
+
+
 def test_solve_multi_first_order_optimality():
     rng = SplitMix64(31)
     for _ in range(200):

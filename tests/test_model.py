@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, ContractViolationError, DisturbanceBounds,
+from do_icbf import (AugmentedState, ConfigurationError, DisturbanceBounds,
                      SplitMix64, linear_rate)
 
 from oracles import finite_diff_gradient
@@ -75,7 +75,7 @@ def test_finite_diff_exact_on_quadratics():
 
 
 def test_finite_diff_rejects_bad_step_and_nan():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         finite_diff_gradient(lambda v: 0.0, (1.0,), 0.0)
     with pytest.raises(ArithmeticError):
         finite_diff_gradient(lambda v: float("nan"), (1.0,), 1e-5)
@@ -93,17 +93,17 @@ def test_class_k_linear_is_exact():
     fn = linear_rate(3.0)
     for s in (-2.0, -0.5, 0.0, 0.25, 10.0):
         assert fn(s) == 3.0 * s
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         linear_rate(0.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         linear_rate(-1.0)
 
 
 def test_disturbance_bounds_validation():
     DisturbanceBounds(0.0, 0.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         DisturbanceBounds(-1.0, 0.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         DisturbanceBounds(1.0, -2.0)
 
 

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierChain, BarrierSpec,
-                     ConfigurationError, ContractViolationError,
+from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, ConfigurationError,
                      DisturbanceBounds, ObserverConfig, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_constraints,
                      check_gain_condition, error_envelope, linear_rate, run_closed_loop,
@@ -123,7 +122,7 @@ def test_envelope_at_zero_and_infinity():
     lam = cfg.lam
     asymptote = 0.4 / math.sqrt(2.0 * cfg.mu1 * lam)
     assert error_envelope(cfg, 100.0 / lam) == pytest.approx(asymptote, abs=1e-9)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigurationError):
         error_envelope(cfg, -0.1)
 
 
@@ -206,6 +205,15 @@ def test_zero_envelope_margin_is_zero_for_an_infinite_gradient():
     assert [c.margin for c in constraints] == [0.0, 0.0] and margin_max == 0.0
 
 
+def test_margin_is_the_two_norm_of_the_channel():
+    # dh/dx ell = (3, 4) over p = 2 channels: the margin is ||(3, 4)|| E = 5 E,
+    # not the 7 E of the magnitudes summed
+    cfg = make_cfg()
+    model = SystemModel(n=2, m=1, p=2, F=lambda x, u: (0.0, 0.0), ell=lambda x: np.eye(2))
+    margin = _margin(cfg, np.array([3.0, 4.0]), model, np.zeros(2), 0.5)
+    assert margin == pytest.approx(5.0 * error_envelope(cfg, 0.5), rel=1e-15)
+
+
 def test_margin_nonnegative_random():
     rng = SplitMix64(99)
     cfg = make_cfg(e0=1.0, bounds=DisturbanceBounds(1.0, 0.3))
@@ -242,6 +250,24 @@ def test_gain_condition_check_warns_on_failure(caplog, acc_scenario):
         margin = check_gain_condition(bad, model, samples)
     assert margin < 0.0
     assert any("gain condition" in r.message for r in caplog.records)
+
+
+def test_gain_condition_is_the_smallest_eigenvalue_less_one():
+    # L_d ell = [[0.5, 1], [-1, 3]]: its skew part drops out of sym(L_d ell),
+    # whose eigenvalues are 0.5 and 3, so the condition fails by 0.5 (the
+    # largest eigenvalue would pass it by 2)
+    model = SystemModel(n=2, m=1, p=2, F=lambda x, u: (0.0, 0.0), ell=lambda x: np.eye(2))
+    cfg = make_cfg(L_d=np.array([[0.5, 1.0], [-1.0, 3.0]]))
+    assert check_gain_condition(cfg, model, [np.zeros(2), np.ones(2)]) == -0.5
+
+
+def test_a_state_map_gain_needs_its_potential():
+    gain = lambda x: np.array([[0.0, 1.0, 0.0]])
+    with pytest.raises(ConfigurationError, match="q_fn is required"):
+        make_cfg(L_d=gain)
+    cfg = ObserverConfig(beta=1.0, L_d=gain, mu1=1.0, e_d0_bound=2.0, bounds=BOUNDS,
+                         q_fn=lambda x: gain(x) @ x)
+    assert np.array_equal(cfg.gain_at(np.zeros(3)), gain(None))
 
 
 def test_envelope_sound_and_exponential_decay_along_acc(acc_scenario):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError,
-                     ConfigurationError, ContractViolationError, DisturbanceBounds, DomainBox,
+                     ConfigurationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
                      linear_rate, rk4_step, run_closed_loop, simulate, sinusoid_disturbance,
@@ -165,7 +165,7 @@ def test_halt_row_does_not_depend_on_log_stride(name, overrides, cfg, halt):
 def test_initial_state_must_match_model_dimensions():
     sc = _static_scenario()
     for x, u, r in (([0.5, 0.0], [0.0], [0.0]), ([0.5], [], [0.0]), ([0.5], [0.0], [0.0, 0.0])):
-        with pytest.raises(ContractViolationError, match="initial"):
+        with pytest.raises(ConfigurationError, match="initial"):
             dataclasses.replace(sc, initial=AugmentedState(x, u, r))
 
 
@@ -350,7 +350,7 @@ def test_build_acc_checks_and_values(acc_scenario):
         build_acc(mass=0.0)
     # exp(-c1 T / m) rounds to 1 for a tiny horizon or a huge mass
     for keyword in ({"horizon": 1e-300}, {"mass": 1e308}):
-        with pytest.raises(ContractViolationError, match="rounds to 1"):
+        with pytest.raises(ConfigurationError, match="rounds to 1"):
             build_acc(**keyword)
 
 
@@ -389,6 +389,15 @@ def test_summarize_fields_and_effort(acc_scenario):
     assert metrics["e_d0_bound"] == pytest.approx(2.0)
     assert metrics["halt_reason"] == "completed"
     assert not metrics["unsafe"]
+
+
+def test_unsafe_is_a_barrier_minimum_below_minus_1e_3(acc_scenario):
+    # the safety verdict's threshold is -1e-3: a minimum of -5e-4 is not unsafe, -5e-3 is
+    log = simulate.TrajectoryLog(acc_scenario, SimConfig())
+    log.rows = np.zeros((1, len(log.header)))
+    for low, unsafe in ((-5e-4, False), (-5e-3, True)):
+        log.fold = {"barrier_min": {"h_x": 1.0, "h_e": low}}
+        assert summarize(log)["unsafe"] is unsafe
 
 
 def test_domain_box_exit_flag(acc_scenario):

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from do_icbf import (BarrierChain, BarrierSpec, ContractViolationError,
+from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
                      DisturbanceBounds, DomainBox, ObserverConfig, SplitMix64, SystemModel,
                      ValidityReport, build_acc, build_bicycle, build_example1,
                      check_validity, error_envelope, filter as qp, linear_rate,
@@ -170,7 +170,7 @@ def test_block_reports_merge_into_the_whole_grid_report(kind):
     if kind == "one-sided":
         assert [b.relative_degree for b in blocks] == [1, 1, 1, 1, 0, 0, 0]
     for bad in ((2, 2), (-1, 2), (0, 0)):
-        with pytest.raises(ContractViolationError, match="block"):
+        with pytest.raises(ConfigurationError, match="block"):
             check_validity(target, model, phi, box, resolution, obs_cfg=obs, block=bad)
 
 
