@@ -60,7 +60,7 @@ class FilterConstraint:
             object.__setattr__(self, "deficit", self.rhs)
 
     def slack(self, v: Array) -> float:
-        return float(self.p_row @ v) - self.rhs
+        return float(self.p_row.dot(v)) - self.rhs
 
 
 @dataclass
@@ -161,8 +161,8 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
 
 def _channel_norm(gx: Array, lx: Array) -> float:
     """||dh/dx ell(x)|| of a barrier gradient; times E(t) it is the margin."""
-    row = gx @ lx
-    return float(np.sqrt(row @ row))
+    row = gx.dot(lx)
+    return math.sqrt(row.dot(row))
 
 
 def constraint_terms(model: SystemModel,
@@ -182,7 +182,7 @@ def constraint_terms(model: SystemModel,
     """
     fx = np.asarray(model.F(x, u), dtype=float)
     lx = np.asarray(model.ell(x), dtype=float)
-    drift = fx + lx @ d_hat
+    drift = fx + lx.dot(d_hat)
     phi = np.asarray(phi, dtype=float)
     terms = []
     for levels in [(spec,) for spec in barriers] + ([chain.levels] if chain is not None else []):
@@ -194,14 +194,14 @@ def constraint_terms(model: SystemModel,
             gx = np.asarray(lv.grad_x(x, u), dtype=float)
             gu = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
             norm = _channel_norm(gx, lx) if norms else None
-            steps.append((nxt.label, lv.gamma, float(gx @ drift) + float(gu @ phi), norm))
+            steps.append((nxt.label, lv.gamma, float(gx.dot(drift)) + float(gu.dot(phi)), norm))
             lv = nxt
         gx = np.asarray(lv.grad_x(x, u), dtype=float)
         p = np.atleast_1d(np.asarray(lv.grad_u(x, u), dtype=float))
         if norms and not steps:
             norm = _channel_norm(gx, lx)
         terms.append((levels[0].label, b0, steps, lv.label, p, lv.gamma,
-                      float(gx @ drift) + float(p @ phi), norm))
+                      float(gx.dot(drift)) + float(p.dot(phi)), norm))
     return terms
 
 
@@ -285,9 +285,9 @@ def _grid_axes(box: DomainBox, resolution) -> list:
     return [np.linspace(lows[i], highs[i], resolution[i]) for i in range(dims)]
 
 
-def _input_free(spec: BarrierSpec, x: Array, u: Array) -> bool:
+def _input_free(grad_u: Callable, x: Array, u: Array) -> bool:
     """||grad_u|| <= EPS_P in plain floats, for a scalar, tuple or 1-D grad_u."""
-    g = spec.grad_u(x, u)
+    g = grad_u(x, u)
     try:
         return math.hypot(*g) <= EPS_P
     except TypeError:  # a scalar has no items
@@ -304,14 +304,17 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
                    block: tuple = (0, 1)) -> ValidityReport:
     """Scan a grid for points where the correction has no authority yet is needed.
 
-    Wherever ||p|| <= EPS_P the implication requires deficit <= -margin, both
-    as build_constraints assembles them at d_hat = 0; each failure is recorded
+    One scan over the sources of the target, in the order constraint_terms
+    assembles them: a chain is one source, and each plain barrier is a
+    source with m = 0. Wherever a source's top input gradient has
+    ||p|| <= EPS_P the implication requires deficit <= -margin, both as
+    build_constraints assembles them at d_hat = 0; each failure is recorded
     as (x, u, deficit, -margin, t). The scan is restricted to grid points
-    inside the checked safe set (all barrier / chain values >= 0 there):
-    outside it the forward-invariance argument never visits the point, and
-    the joint barriers of practical scenarios do fail the universal form. For
-    chains the report also carries the empirical relative degree: the
-    smallest level whose input gradient is nonzero somewhere on the grid.
+    inside the checked safe set (every folded value >= 0 there): outside it
+    the forward-invariance argument never visits the point, and the joint
+    barriers of practical scenarios do fail the universal form. The report
+    carries the empirical relative degree: the least level with input
+    authority somewhere on the grid, else max(m, 1).
 
     block=(k, K) scans only the k-th of K contiguous blocks of the state grid
     in itertools.product order, each state with every input; the reports of
@@ -319,9 +322,9 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
     whole grid.
 
     Work is shared, never the result: each point evaluates an input gradient
-    at most once, E(t) is evaluated once per time, and an input-free point
-    evaluates phi and constraint_terms once, then folds the recurrence once
-    per distinct envelope value.
+    at most once, E(t) is evaluated once per time, and a point with an
+    input-free top inside every b_0 >= 0 evaluates phi and constraint_terms
+    once, then folds the recurrence once per distinct envelope value.
     """
     if times is None:
         if obs_cfg is not None:
@@ -331,31 +334,26 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
     k, parts = block
     if not 0 <= k < parts:
         raise ConfigurationError(f"block: expected (k, K) with 0 <= k < K, got {block}")
+    if isinstance(target, BarrierChain):
+        specs, chain, sources = (), target, [target.levels]
+    else:
+        specs = [target] if isinstance(target, BarrierSpec) else list(target)
+        if not specs:
+            raise ConfigurationError("no barriers to check")
+        require_values(specs, "plain barrier")
+        chain, sources = None, [(spec,) for spec in specs]
     axes = _grid_axes(box, resolution)
     envelopes = [error_envelope(obs_cfg, t) if obs_cfg is not None else 0.0 for t in times]
     distinct = list(dict.fromkeys(envelopes))
     norms = any(envelope != 0.0 for envelope in distinct)
     d_hat = np.zeros(model.p)
     counterexamples: list = []
-
-    def check_point(specs, chain, x, u):
-        """Record the one constraint of specs / chain at each time it needs
-        help while (x, u) lies inside its safe set."""
-        phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
-        terms = constraint_terms(model, specs, chain, phi_val, x, u, d_hat, norms)
-        failing = {}
-        for envelope in distinct:
-            ((_, deficit, margin, label),), values, _ = fold_terms(terms, envelope)
-            if not min(values.values()) < 0.0 and deficit > -margin:
-                failing[envelope] = (label, deficit, margin)
-        for t, envelope in zip(times, envelopes):
-            if envelope in failing:
-                label, deficit, margin = failing[envelope]
-                counterexamples.append({
-                    "barrier": label, "t": t,
-                    "x": [float(v) for v in x], "u": [float(v) for v in u],
-                    "w": deficit, "margin": -margin,
-                })
+    # degree is the least level seen with input authority so far; a lower
+    # level at or above it can no longer lower it and leaves `below`.
+    top_m = max(len(levels) - 1 for levels in sources)
+    degree = max(top_m, 1)
+    tops = list(enumerate(levels[-1].grad_u for levels in sources))
+    below = [(i, lv.grad_u) for levels in sources for i, lv in enumerate(levels[:-1])]
 
     # Streamed in itertools.product order; only the input grid is held, and
     # each x array serves all of it.
@@ -364,35 +362,34 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
     block_xs = itertools.islice(itertools.product(*axes[:nx]),
                                 k * states // parts, (k + 1) * states // parts)
     us = [np.array(ut) for ut in itertools.product(*axes[nx:])]
-    points = ((x, u) for x in map(np.array, block_xs) for u in us)
-    if isinstance(target, BarrierChain):
-        chain = target
-        top = chain.levels[chain.m]
-        below = tuple(enumerate(chain.levels[:chain.m]))
-        seen_nonzero = [False] * chain.m  # levels below the top
-        for x, u in points:
-            for i, lv in below:
-                if not seen_nonzero[i] and not _input_free(lv, x, u):
-                    seen_nonzero[i] = True
-            if _input_free(top, x, u):
-                check_point((), chain, x, u)
-        degree = next((i for i, flag in enumerate(seen_nonzero) if flag), chain.m)
-    else:
-        specs = [target] if isinstance(target, BarrierSpec) else list(target)
-        if not specs:
-            raise ConfigurationError("no barriers to check")
-        require_values(specs, "plain barrier")
-        has_authority = False
-        for x, u in points:
-            free = [spec for spec in specs if _input_free(spec, x, u)]
-            if len(free) < len(specs):
-                has_authority = True
-            if free and not min(spec.h(x, u) for spec in specs) < 0.0:
-                for spec in free:
-                    check_point((spec,), None, x, u)
-        # Plain barriers act through their own input gradient: degree 0 if any
-        # barrier has input authority somewhere, by convention.
-        degree = 0 if has_authority else 1
+    for x in map(np.array, block_xs):
+        for u in us:
+            for i, grad_u in below:
+                if not _input_free(grad_u, x, u):
+                    degree = i
+                    below = [pair for pair in below if pair[0] < i]
+                    break
+            free = []
+            for j, grad_u in tops:
+                if _input_free(grad_u, x, u):
+                    free.append(j)
+                elif degree > top_m:
+                    degree = top_m
+            if not free or min(levels[0].h(x, u) for levels in sources) < 0.0:
+                continue
+            phi_val = np.atleast_1d(np.asarray(phi(x, u), dtype=float))
+            terms = constraint_terms(model, specs, chain, phi_val, x, u, d_hat, norms)
+            folded = {envelope: fold_terms(terms, envelope) for envelope in distinct}
+            for j in free:
+                for t, envelope in zip(times, envelopes):
+                    rows, values, _ = folded[envelope]
+                    _, deficit, margin, label = rows[j]
+                    if not min(values.values()) < 0.0 and deficit > -margin:
+                        counterexamples.append({
+                            "barrier": label, "t": t,
+                            "x": [float(v) for v in x], "u": [float(v) for v in u],
+                            "w": deficit, "margin": -margin,
+                        })
 
     return ValidityReport(valid=not counterexamples, relative_degree=degree,
                           counterexamples=counterexamples)

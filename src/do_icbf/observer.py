@@ -64,7 +64,7 @@ class ObserverConfig:
             object.__setattr__(self, "L_d", mat)
             object.__setattr__(self, "_ld_fn", lambda x, _mat=mat: _mat)
             if self.q_fn is None:
-                object.__setattr__(self, "q_fn", lambda x, _mat=mat: _mat @ x)
+                object.__setattr__(self, "q_fn", lambda x, _mat=mat: _mat.dot(x))
 
     @property
     def lam(self) -> float:

@@ -207,9 +207,9 @@ def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float
     k2 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k1)
     k3 = rhs(t + 0.5 * dt, z + (0.5 * dt) * k2)
     k4 = rhs(t + dt, z + dt * k3)
-    accum = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    z_next = z + (dt / 6.0) * accum
-    if not (np.isfinite(accum).all() and np.isfinite(z_next).all()):
+    # dt > 0, so z_next is non-finite wherever the stage sum is
+    z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(z_next).all():
         raise BlowupError(t)
     return z_next
 
@@ -355,7 +355,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d,
             envelope if margins else 0.0)
         infeasible, v_star = False, v_star_zero
-        if filter_on:
+        if filter_on and constraints:
             result = solve_multi(constraints)
             infeasible, v_star = result.infeasible, result.v_star
         return (infeasible, phi, v_star, d_hat_obs, [values[lab] for lab in value_labels],
@@ -367,12 +367,12 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         def rhs(tt: float, zz: Array) -> Array:
             xx = zz[:n]
             fx = np.asarray(F(xx, zz[n:n + m]), dtype=float)
-            lx = ell(xx)
+            lx = np.asarray(ell(xx))
             d_hat = zz[n + m:] + beta * q_fn(xx)
             out = np.empty(n + m + p)
-            out[:n] = fx + lx @ d_true(tt)
+            out[:n] = fx + lx.dot(d_true(tt))
             out[n:n + m] = u_rate
-            out[n + m:] = -beta * (gain_at(xx) @ (fx + lx @ d_hat))
+            out[n + m:] = -beta * np.asarray(gain_at(xx)).dot(fx + lx.dot(d_hat))
             return out
 
         return rk4_step(rhs, t, z, dt)

@@ -90,15 +90,29 @@ def test_observer_rhs_acc_substitution(acc_scenario):
     assert out[4] == pytest.approx(75.1 / 1650.0 - 10.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["acc", "bicycle"])
+def _state_gain(x):
+    return 1.5 + 0.5 * math.sin(x[1])
+
+
+@pytest.mark.parametrize("name", ["acc", "bicycle", "acc-state-gain"])
 def test_vector_kernel_step_matches_augmented_rhs_oracle(name):
     # one filter-off step of the vector kernel against an RK4 step of the oracle;
     # acc runs under a sinusoid, so d_true differs at every RK4 stage
-    if name == "acc":
+    if name.startswith("acc"):
         scenario = build_acc(d_true=sinusoid_disturbance(1.5, 2.0, 0.3),
                              bounds=DisturbanceBounds(1.5, 3.0))
     else:
         scenario = build_bicycle()
+    if name == "acc-state-gain":
+        # ell(x) = (0, g(x1), 0)^T and a state-map gain L_d = ell^T = dq/dx,
+        # so each RK4 stage reads both at its own state
+        scenario = dataclasses.replace(
+            scenario,
+            model=dataclasses.replace(
+                scenario.model, ell=lambda x: np.array([[0.0], [_state_gain(x)], [0.0]])),
+            obs_cfg=dataclasses.replace(
+                scenario.obs_cfg, L_d=lambda x: np.array([[0.0, _state_gain(x), 0.0]]),
+                q_fn=lambda x: np.array([1.5 * x[1] - 0.5 * math.cos(x[1])])))
     scenario = dataclasses.replace(scenario, fast_loop=False)
     model, cfg = scenario.model, scenario.obs_cfg
     n, m = model.n, model.m

@@ -235,6 +235,17 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
         assert diff.max() <= 1e-12 * max(1.0, scale)
 
 
+@pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
+def test_a_scenario_with_no_constraint_runs_unfiltered(mode):
+    # nothing to enforce: both kernels complete with v* = 0 at every step
+    scenario = dataclasses.replace(build_example1(), barriers=())
+    for fast_loop in (True, False):
+        log = run_closed_loop(dataclasses.replace(scenario, fast_loop=fast_loop),
+                              SimConfig(dt=1e-3, t_end=0.1, filter_mode=mode))
+        assert log.halt_reason == "completed", (fast_loop, log.halt_message)
+        assert np.all(column(log, "vstar0") == 0.0)
+
+
 def test_truncation_on_infeasibility():
     sc = build_example1(x0=(3.9,))
     log = run_closed_loop(sc, SimConfig(dt=1e-3, t_end=1.0, filter_mode="do_icbf"))

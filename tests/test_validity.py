@@ -81,11 +81,16 @@ def _case(kind: str, rng: SplitMix64) -> tuple:
     obs = _observer(rng.uniform(0.0, 3.0), rng.uniform(0.5, 3.0))
     if kind == "two-input":
         return _two_input_barrier(rng.uniform(0.0, 2.0)), _two_input_model(), obs, BOX2, 4
-    return _partly_free_chain(), _two_input_model(), obs, BOX2, 4
+    chain = _partly_free_chain()
+    if kind == "free-top-chain":  # no level has input authority anywhere
+        b0, b1 = chain.levels
+        chain = BarrierChain(levels=(b0, dataclasses.replace(
+            b1, grad_u=lambda x, u: np.zeros(2))))
+    return chain, _two_input_model(), obs, BOX2, 4
 
 
 KINDS = ("acc-chain", "acc-force", "acc-sinusoid", "bicycle", "example1", "example1-scalar",
-         "two-input", "partly-free-chain")
+         "two-input", "partly-free-chain", "free-top-chain")
 
 
 @pytest.mark.parametrize("kind", KINDS)
