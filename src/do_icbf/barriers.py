@@ -102,5 +102,16 @@ class DomainBox:
     def __post_init__(self):
         for name in ("x_low", "x_high", "u_low", "u_high"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.x_low.shape != self.x_high.shape or self.u_low.shape != self.u_high.shape:
+            raise ConfigurationError(
+                f"domain box bounds differ in shape: x {self.x_low.shape} to "
+                f"{self.x_high.shape}, u {self.u_low.shape} to {self.u_high.shape}")
         if np.any(self.x_low > self.x_high) or np.any(self.u_low > self.u_high):
             raise ConfigurationError("domain box is empty (a lower bound exceeds an upper bound)")
+
+    def require_dims(self, n: int, m: int, role: str) -> None:
+        """Raise ConfigurationError unless the box spans n states and m inputs."""
+        if (self.x_low.shape, self.u_low.shape) != ((n,), (m,)):
+            raise ConfigurationError(
+                f"{role} has state bounds of shape {self.x_low.shape} and input bounds of "
+                f"shape {self.u_low.shape}; the model has {n} states and {m} inputs")

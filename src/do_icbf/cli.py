@@ -281,15 +281,16 @@ def _join(name: str, pid: int, read_fd: int):
     return pickle.loads(blob)
 
 
-def _run_tasks(tasks: list, fork: bool) -> list:
+def _run_tasks(tasks: list) -> list:
     """Call each task, a (name, no-argument callable) pair, and return what
     they return, in task order.
 
-    With fork, every task after the first runs in a forked child while this
-    process runs the first; the children are joined even when the first
-    raises, and the first exception in task order is raised once all are
-    joined. Without fork the tasks run here, one after the other."""
-    if not fork:
+    With more than one task and more than one CPU this process may use,
+    every task after the first runs in a forked child while this process
+    runs the first; the children are joined even when the first raises,
+    and the first exception in task order is raised once all are joined.
+    Otherwise the tasks run here, one after the other."""
+    if len(tasks) < 2 or len(os.sched_getaffinity(0)) < 2:
         return [work() for _, work in tasks]
     children = []
     try:
@@ -320,9 +321,8 @@ def cmd_simulate(command: str, cfg: dict, scenario, sims: list, out: Path) -> in
     name, plot = cfg["scenario"], command == "run" and bool(cfg.get("emit_plot"))
     tasks = [(sim.filter_mode, lambda sim=sim, csv=csv: _run_mode(scenario, sim, csv, name, plot))
              for sim, csv in zip(sims, csvs)]
-    fork = len(tasks) > 1 and len(os.sched_getaffinity(0)) > 1
     per_mode = {}
-    for sim, (metrics, halt_message) in zip(sims, _run_tasks(tasks, fork)):
+    for sim, (metrics, halt_message) in zip(sims, _run_tasks(tasks)):
         per_mode[sim.filter_mode] = metrics
         if metrics["halt_reason"] == "error":
             print(f"do-icbf: error: {sim.filter_mode}: {halt_message}", file=sys.stderr)
@@ -363,7 +363,7 @@ def cmd_check(scenario, targets: list, box, resolution, times, out: Path) -> int
                 for target in targets]
 
     blocks = _run_tasks([(f"grid block {k} of {parts}", lambda k=k: scan(k))
-                         for k in range(parts)], fork=parts > 1)
+                         for k in range(parts)])
     report, *extra = [ValidityReport.merge(per_target) for per_target in zip(*blocks)]
     for other in extra:
         report.valid = report.valid and other.valid

@@ -342,6 +342,7 @@ def check_validity(target: Union[BarrierSpec, Sequence[BarrierSpec], BarrierChai
             raise ConfigurationError("no barriers to check")
         require_values(specs, "plain barrier")
         chain, sources = None, [(spec,) for spec in specs]
+    box.require_dims(model.n, model.m, "box")
     axes = _grid_axes(box, resolution)
     envelopes = [error_envelope(obs_cfg, t) if obs_cfg is not None else 0.0 for t in times]
     distinct = list(dict.fromkeys(envelopes))

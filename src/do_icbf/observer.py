@@ -30,13 +30,24 @@ from .model import Array, DisturbanceBounds, SystemModel
 log = logging.getLogger(__name__)
 
 
+class LinearPotential:
+    """The default potential q(x) = L_d x of a constant gain matrix, which
+    holds that matrix, so that the float kernel can tell it from any other."""
+
+    def __init__(self, matrix: Array):
+        self.matrix = matrix
+
+    def __call__(self, x: Array) -> Array:
+        return self.matrix.dot(x)
+
+
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer gains plus the constants of the error envelope.
 
     L_d may be a constant p x n matrix or a state map; for a constant matrix
     the potential defaults to q(x) = L_d x (the unique potential with
-    dq/dx = L_d up to a constant absorbed into r(0)).
+    dq/dx = L_d up to a constant absorbed into r(0)), a LinearPotential.
     """
 
     beta: float
@@ -64,7 +75,7 @@ class ObserverConfig:
             object.__setattr__(self, "L_d", mat)
             object.__setattr__(self, "_ld_fn", lambda x, _mat=mat: _mat)
             if self.q_fn is None:
-                object.__setattr__(self, "q_fn", lambda x, _mat=mat: _mat.dot(x))
+                object.__setattr__(self, "q_fn", LinearPotential(mat))
 
     @property
     def lam(self) -> float:

@@ -26,7 +26,6 @@ import copy
 import math
 import os
 import struct
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -36,11 +35,11 @@ from .barriers import BarrierChain, BarrierSpec, DomainBox, require_values
 from .errors import BlowupError, ConfigurationError
 from .filter import build_constraints, solve_1d, solve_multi
 from .model import Array, AugmentedState, SystemModel, _as_vector
-from .observer import ObserverConfig, error_envelope
+from .observer import LinearPotential, ObserverConfig, error_envelope
 
 FILTER_MODES = ("off", "icbf", "do_icbf", "high_order")
-# A run holds at most this many bytes of packed log rows in memory: each
-# full chunk moves to the run's spool file, so memory does not grow with t_end.
+# A run's packed log rows go to its spool file through a write buffer of this
+# many bytes, so a run holds at most one chunk of its log in memory, whatever t_end.
 LOG_CHUNK_BYTES = 64 * 1024
 
 
@@ -98,6 +97,8 @@ class Scenario:
     def __post_init__(self):
         for name, size in (("x", self.model.n), ("u", self.model.m), ("r", self.model.p)):
             _as_vector(getattr(self.initial, name), size, f"initial.{name}")
+        for role, box in (("domain", self.domain), ("check_box", self.check_box or self.domain)):
+            box.require_dims(self.model.n, self.model.m, role)
         require_values(self.barriers, "plain barrier")
         labels = self.value_labels
         repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
@@ -136,9 +137,9 @@ class Scenario:
 class TrajectoryLog:
     """Time-indexed record of one run; column layout is fixed by the header.
     `rows` is a (rows, columns) float64 array, one row per logged step: a
-    view of the loop's buffer for a log of less than one chunk
-    (LOG_CHUNK_BYTES), else a read-only memmap of `spool`, the unnamed
-    temporary file the loop moved the rows to one chunk at a time.
+    read-only memmap of `spool`, the unnamed temporary file the loop writes
+    every row to through one buffer of LOG_CHUNK_BYTES. An empty log keeps
+    its (0, columns) array, since an empty file cannot be mapped.
     `fold` holds what run_closed_loop folds over every step it decides,
     logged or not, keyed as summarize reports it."""
 
@@ -166,37 +167,16 @@ class TrajectoryLog:
 
     def write_csv(self, path) -> None:
         """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings.
-        A spooled log is read back one chunk at a time with os.pread, never
-        through the memmap, whose pages would stay resident."""
+        The spool is read back one chunk of whole rows at a time with
+        os.pread, never through the memmap, whose pages would stay resident."""
         width = len(self.header)
         line = ",".join(["%.17g"] * width) + "\n"
-        if self.spool is None:
-            blocks = [self.rows]
-        else:
-            size = _chunk_rows(width) * 8 * width
-            blocks = (os.pread(self.spool.fileno(), size, offset)
-                      for offset in range(0, self.rows.nbytes, size))
+        size = max(1, LOG_CHUNK_BYTES // (8 * width)) * 8 * width
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
-            for block in blocks:
+            for offset in range(0, self.rows.nbytes, size):
+                block = os.pread(self.spool.fileno(), size, offset)
                 fh.writelines(map(line.__mod__, struct.iter_unpack(f"{width}d", block)))
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows of `width` float64 values in one chunk of the log."""
-    return max(1, LOG_CHUNK_BYTES // (8 * width))
-
-
-def _spill(rows: array, spool):
-    """Append the packed rows to the spool, created as an unnamed temporary
-    file at the first spill, and empty the buffer; returns the spool."""
-    if spool is None:
-        import tempfile  # here, so that importing the package never loads it
-
-        spool = tempfile.TemporaryFile()
-    rows.tofile(spool)
-    del rows[:]
-    return spool
 
 
 def rk4_step(rhs: Callable[[float, Array], Array], t: float, z: Array, dt: float) -> Array:
@@ -233,26 +213,26 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     step, or raises BlowupError. Scenarios flagged fast_loop take the float
     kernel, all others the vector kernel.
 
-    The loop packs each logged row into one buffer and holds at most one
-    chunk (LOG_CHUNK_BYTES) of rows in memory: each time the buffer is full,
-    its rows are appended to the run's spool, an unnamed temporary file
-    made at the first spill (in $TMPDIR, else /tmp), and the buffer is
-    emptied. A log that never fills a chunk never touches the disk.
+    Every run writes each packed row to its spool, an unnamed temporary
+    file made before the first step (tempfile's choice of directory:
+    $TMPDIR, else /tmp, which must be writable), through one buffer of
+    LOG_CHUNK_BYTES, so a run holds at most one chunk of its log in memory.
+    A spool that cannot be made or written raises its OSError.
     """
+    import tempfile  # here, so that the package imports it only to run a loop
+
     law = copy.deepcopy(scenario.law)
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
     z, decide, advance = make_kernel(scenario, law, cfg)
     log = TrajectoryLog(scenario, cfg)
     width = len(log.header)
-    rows = array("d")  # the logged rows not yet spooled, packed one after another
-    chunk = _chunk_rows(width) * width  # values in a full chunk
-    spool = None
+    spool = tempfile.TemporaryFile(buffering=LOG_CHUNK_BYTES)
+    write = spool.write
     pack = struct.Struct(f"{width}d").pack  # one row's bytes; checks its width
     box = scenario.domain
     lo = [float(v) for v in np.concatenate([box.x_low, box.u_low])]
     hi = [float(v) for v in np.concatenate([box.x_high, box.u_high])]
-    xu = range(len(lo))  # z[:n + m] is (x, u)
-    nm = len(lo)
+    nm = len(lo)  # z[:n + m] is (x, u)
     left_domain = False
     d_true = scenario.model.d_true
     obs = scenario.obs_cfg
@@ -287,16 +267,14 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
                 if v < mins[i]:
                     mins[i] = v
             if not left_domain:
-                for i in xu:
-                    if not lo[i] <= z[i] <= hi[i]:
+                for lo_i, z_i, hi_i in zip(lo, z, hi):
+                    if not lo_i <= z_i <= hi_i:
                         left_domain = True
                         break
             if k % stride == 0 or infeasible or k == n_steps:
-                rows.frombytes(pack(t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
-                                    margin, 1.0 if infeasible else 0.0))
+                write(pack(t, *z[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
+                           margin, 1.0 if infeasible else 0.0))
                 logged = True
-                if len(rows) == chunk:
-                    spool = _spill(rows, spool)
             if infeasible:
                 log.halt_reason = "infeasible"
                 break
@@ -308,13 +286,11 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     except (ValueError, ArithmeticError) as exc:
         log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"
     if not logged:  # a blowup or error halt: the log ends at the last decided step
-        rows.frombytes(pack(t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
-                            margin, 0.0))
-    if spool is None:
-        log.rows = np.frombuffer(rows).reshape(-1, width)  # a view, no copy
-    else:
-        _spill(rows, spool).flush()
-        log.spool = spool
+        write(pack(t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
+                   margin, 0.0))
+    spool.flush()
+    log.spool = spool
+    if spool.tell():  # an empty file cannot be mapped
         log.rows = np.memmap(spool, dtype=np.float64, mode="r").reshape(-1, width)
     log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
                 "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
@@ -383,9 +359,9 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
 def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     """Step kernel on plain floats, with the formulas of the vector kernel.
 
-    Checked preconditions: m = p = 1 and a constant observer gain L_d.
-    Vouched for by fast_loop=True and not checked: a constant channel column
-    ell, which is read once at x0, and the default potential q = L_d x. The
+    Checked preconditions: m = p = 1, a constant observer gain L_d and its
+    default potential q = L_d x. Vouched for by fast_loop=True and not
+    checked: a constant channel column ell, which is read once at x0. The
     state is a list; otherwise as _vector_kernel, except that decide takes
     E(t) from the loop. Its sums and RK4 combination round differently from
     numpy's, so the two kernels agree to ~1e-12, not bit for bit, and tests
@@ -396,11 +372,11 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     if model.m != 1 or model.p != 1:
         raise ConfigurationError("fast_loop (the float kernel) needs m = p = 1")
     obs = scenario.obs_cfg
-    if callable(obs.L_d) and not isinstance(obs.L_d, np.ndarray):
-        raise ConfigurationError("fast_loop (the float kernel) needs a constant observer gain")
+    if not (isinstance(obs.q_fn, LinearPotential) and np.array_equal(obs.q_fn.matrix, obs.L_d)):
+        raise ConfigurationError("fast_loop (the float kernel) needs a constant L_d and q = L_d x")
     ell0 = np.asarray(model.ell(scenario.initial.x), dtype=float)
     ellc = tuple(float(v) for v in ell0[:, 0])
-    gain = tuple(float(v) for v in np.atleast_2d(np.asarray(obs.L_d, dtype=float))[0])
+    gain = tuple(float(v) for v in np.atleast_2d(obs.L_d)[0])
     beta = obs.beta
     F = model.F
     d_true = model.d_true

@@ -11,7 +11,9 @@ included, for comparison against a step of the simulator's kernels.
 reference_check_validity is the plain per-point grid scan of the validity
 checker: every time and every point evaluated on its own, nothing shared.
 
-column reads one named column of a TrajectoryLog from its rows.
+column reads one named column of a TrajectoryLog from its rows, and
+replay assembles each logged decision again from its row's own values with
+build_constraints and solve_multi: it checks the log, not the QP.
 
 finite_diff_gradient is the central-difference gradient oracle, and
 level_values and gradient_error compare a scenario's analytic barrier
@@ -22,9 +24,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
-                     ValidityReport, build_constraints,
-                     error_envelope)
+from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError, FilterResult,
+                     ValidityReport, build_constraints, error_envelope, solve_multi)
 from do_icbf.barriers import EPS_P
 from do_icbf.filter import _grid_axes
 
@@ -35,6 +36,37 @@ def column(log, name):
     """The values of one header column over every logged row."""
     i = log.header.index(name)
     return np.array([row[i] for row in log.rows])
+
+
+def replay(scenario, cfg, log):
+    """A copy of the log's rows with each row's b_*, slack_*, c_margin,
+    vstar* and infeasible values assembled again from its own t, x, u, phi
+    and d_hat: build_constraints at E(t), with d_hat and E zeroed for icbf,
+    then, unless the filter is off, solve_multi. A log explains each of its
+    decisions where the copy equals its rows."""
+    model = scenario.model
+    n, m, p = model.n, model.m, model.p
+    col = log.header.index
+    robust = cfg.filter_mode != "icbf"
+    out = np.array(log.rows)
+    for row in out:
+        x, u = row[1:1 + n], row[1 + n:1 + n + m]
+        phi = row[col("phi0"):col("phi0") + m]
+        d_hat = row[col("dhat0"):col("dhat0") + p] if robust else np.zeros(p)
+        envelope = error_envelope(scenario.obs_cfg, float(row[0])) if robust else 0.0
+        constraints, values, margin = build_constraints(
+            model, scenario.barriers, scenario.chain, phi, x, u, d_hat, envelope)
+        result = FilterResult(np.zeros(m))
+        if cfg.filter_mode != "off" and constraints:
+            result = solve_multi(constraints)
+        row[col("vstar0"):col("vstar0") + m] = result.v_star
+        for label in scenario.value_labels:
+            row[col(f"b_{label}")] = values[label]
+        for c in constraints:
+            row[col(f"slack_{c.label}")] = c.slack(result.v_star)
+        row[col("c_margin")] = margin
+        row[col("infeasible")] = float(result.infeasible)
+    return out
 
 
 def finite_diff_gradient(f, point, step):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -353,6 +354,24 @@ def test_forked_compare_spools_each_log(tmp_path, monkeypatch, deadline, two_cpu
     assert len(two_cpus) == 2
     assert sorted(files[0]) == ["summary.json", "trajectory_do_icbf.csv", "trajectory_icbf.csv"]
     assert files[1] == files[0]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_spool_that_cannot_be_made_is_one_error_line(tmp_path, monkeypatch, capsys, deadline,
+                                                       two_cpus, command):
+    # every run spools its log, however short: with a regular file for the
+    # temporary directory, run and compare's forked baseline each fail to
+    # make the spool, exit 1 and write no summary
+    not_a_dir = tmp_path / "tmp"
+    not_a_dir.write_text("")
+    monkeypatch.setattr(tempfile, "tempdir", str(not_a_dir))
+    out = tmp_path / "out"
+    assert run_cli(command, "--scenario", "example1", "--t-end", "0.1",
+                   "--out", str(out)) == EXIT_CONFIG
+    _one_error_line(capsys, "Not a directory")
+    assert_no_child_left()
+    assert len(two_cpus) == (command == "compare")
+    assert not (out / "summary.json").exists()
 
 
 def test_one_cpu_runs_every_command_in_process(tmp_path, monkeypatch, deadline, two_cpus):

@@ -3,7 +3,8 @@ header and the scenario's disturbance bounds, the `disturbance` override is
 offered to any builder that takes d_true and bounds, and a run is named by
 its config's `scenario`. A config number is
 checked without converting it to a float, so one too large for a float is a
-config error that names its field."""
+config error that names its field, and so is a registered builder's box that
+does not fit its model."""
 
 import dataclasses
 import json
@@ -11,7 +12,8 @@ import re
 
 import pytest
 
-from do_icbf import build_acc, build_bicycle, build_example1, cli, scenarios, simulate
+from do_icbf import (DomainBox, build_acc, build_bicycle, build_example1, cli, scenarios,
+                     simulate)
 
 
 def panels(script):
@@ -91,4 +93,19 @@ def test_check_time_beyond_a_float_is_a_config_error(tmp_path, capsys):
     assert cli.main(["check", "--config", str(cfg)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("do-icbf: error: check.times must be a non-empty list of finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_builder_whose_domain_does_not_fit_its_model_is_a_config_error(tmp_path, monkeypatch,
+                                                                         capsys):
+    # a two-state domain on one-state example1 fails where the scenario is
+    # built, before a row is packed or the output directory is made
+    wide = DomainBox(x_low=(-10.0, -10.0), x_high=(10.0, 10.0), u_low=(-2.0,), u_high=(2.0,))
+    monkeypatch.setitem(scenarios.BUILDERS, "wide",
+                        lambda: dataclasses.replace(build_example1(), domain=wide))
+    assert cli.main(["run", "--scenario", "wide", "--t-end", "0.1",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("do-icbf: error: domain has state bounds of shape (2,)")
     assert not (tmp_path / "out").exists()

@@ -11,10 +11,10 @@ from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError,
                      ConfigurationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
-                     linear_rate, rk4_step, run_closed_loop, simulate, sinusoid_disturbance,
-                     summarize)
+                     check_validity, linear_rate, rk4_step, run_closed_loop, simulate,
+                     sinusoid_disturbance, summarize)
 from do_icbf.control_laws import ZeroRate
-from oracles import column
+from oracles import column, replay
 
 
 def test_rk4_zero_rhs():
@@ -169,6 +169,30 @@ def test_initial_state_must_match_model_dimensions():
             dataclasses.replace(sc, initial=AugmentedState(x, u, r))
 
 
+WIDE = DomainBox(x_low=(-10.0, -10.0), x_high=(10.0, 10.0), u_low=(-2.0,), u_high=(2.0,))
+
+
+def test_domain_box_bounds_must_match_in_length():
+    with pytest.raises(ConfigurationError, match="differ in shape"):
+        DomainBox(x_low=(0.0,), x_high=(1.0, 2.0), u_low=(0.0,), u_high=(1.0,))
+    with pytest.raises(ConfigurationError, match="differ in shape"):
+        DomainBox(x_low=(0.0,), x_high=(1.0,), u_low=(0.0, 0.0), u_high=(1.0,))
+
+
+@pytest.mark.parametrize("role", ["domain", "check_box"])
+def test_scenario_boxes_must_match_model_dimensions(role):
+    # example1 has one state: a two-state box would pack one value too many
+    # into each log row, or have check scan two-state points
+    with pytest.raises(ConfigurationError, match=f"{role} has state bounds of shape \\(2,\\)"):
+        dataclasses.replace(build_example1(), **{role: WIDE})
+
+
+def test_checked_box_must_match_model_dimensions():
+    sc = build_example1()
+    with pytest.raises(ConfigurationError, match="box has state bounds"):
+        check_validity(list(sc.barriers), sc.model, lambda x, u: (0.0,), WIDE, 5)
+
+
 def test_determinism_bit_identical(acc_scenario, tmp_path):
     cfg = SimConfig(dt=1e-3, t_end=1.0, filter_mode="do_icbf")
     a = run_closed_loop(acc_scenario, cfg)
@@ -233,6 +257,57 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
         diff = np.abs(np.asarray(fast.rows) - np.asarray(generic.rows))
         scale = np.abs(np.asarray(generic.rows)).max()
         assert diff.max() <= 1e-12 * max(1.0, scale)
+
+
+def test_float_kernel_needs_the_default_potential():
+    # q = L_d x + 1 starts the estimate at 1, which the float kernel, summing
+    # L_d x itself, would not see; nor a potential left from another L_d
+    acc = build_acc()
+    obs = acc.obs_cfg
+    cfg = SimConfig(dt=1e-3, t_end=0.01)
+    shifted = dataclasses.replace(obs, q_fn=lambda x: obs.L_d.dot(x) + 1.0)
+    stale = dataclasses.replace(obs, L_d=2.0 * obs.L_d)
+    for custom in (shifted, stale):
+        with pytest.raises(ConfigurationError, match="q = L_d x"):
+            run_closed_loop(dataclasses.replace(acc, obs_cfg=custom), cfg)
+    log = run_closed_loop(dataclasses.replace(acc, obs_cfg=shifted, fast_loop=False), cfg)
+    assert column(log, "dhat0")[0] == 1.0
+    # the default potential of the config's own L_d runs, however it was copied
+    log = run_closed_loop(dataclasses.replace(acc, obs_cfg=dataclasses.replace(obs)), cfg)
+    assert log.halt_reason == "completed"
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["float", "vector"])
+@pytest.mark.parametrize("name,overrides,cfg", [
+    ("acc", {}, SimConfig(dt=1e-3, t_end=2.0, filter_mode="do_icbf")),
+    ("acc", {}, SimConfig(dt=1e-3, t_end=2.0, filter_mode="icbf")),
+    ("acc", {}, SimConfig(dt=1e-3, t_end=2.0, filter_mode="off")),
+    ("bicycle", {}, SimConfig(dt=1e-3, t_end=2.0, filter_mode="high_order")),
+    ("bicycle", {}, SimConfig(dt=1e-3, t_end=2.0, filter_mode="off")),
+    ("example1", {}, SimConfig(dt=1e-3, t_end=2.0)),
+    ("example1", {"x0": (3.9,)}, SimConfig(dt=1e-3, t_end=2.0)),
+    ("acc", {}, SimConfig(dt=2.0, t_end=2000.0, filter_mode="off")),
+    ("bicycle", {"accel": -0.1}, SimConfig(dt=1e-3, t_end=8.0, log_stride=10,
+                                          filter_mode="high_order")),
+], ids=["acc-do_icbf", "acc-icbf", "acc-off", "bicycle-high_order", "bicycle-off",
+        "example1", "example1-infeasible", "acc-blowup", "bicycle-error"])
+def test_replay_reproduces_every_logged_decision(name, overrides, cfg, fast):
+    # each row's barrier values, slacks, margin, v* and infeasible flag are
+    # what build_constraints and solve_multi give on the row's own t, x, u,
+    # phi and d_hat: the golden runs, an infeasible halt (whose replay finds
+    # no v* either) and the last row of a blowup and of an error halt
+    scenario = dataclasses.replace(build_scenario(name, **overrides), fast_loop=fast)
+    with np.errstate(all="ignore"):  # the blowup run overflows
+        log = run_closed_loop(scenario, cfg)
+        replayed = replay(scenario, cfg, log)
+    rows = np.asarray(log.rows)
+    if name == "example1" and overrides:
+        assert log.halt_reason == "infeasible" and rows[-1][log.header.index("infeasible")] == 1.0
+    if fast and name == "bicycle":
+        # the float kernel's Lie-derivative sums round unlike numpy's dot
+        np.testing.assert_allclose(replayed, rows, rtol=1e-15, atol=0.0)
+    else:
+        assert replayed.tobytes() == rows.tobytes()  # bit for bit
 
 
 @pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
@@ -324,12 +399,12 @@ def test_spooled_log_matches_the_default_chunk(monkeypatch, tmp_path, name, mode
 ], ids=["blowup", "infeasible", "error"])
 def test_spooled_log_of_a_halted_run(monkeypatch, tmp_path, name, overrides, cfg, halt):
     # a blowup or error halt appends its last row after the loop: with chunks
-    # of 1, 2 and 3 rows it lands just after a spill or fills a chunk in one
-    # of them; each gives the bytes of the log held in memory whole
-    whole, *spooled = _spool_runs(monkeypatch, tmp_path, build_scenario(name, **overrides),
-                                  cfg, (10 ** 9, 1, 2, 3))
-    assert whole[0] == halt
-    assert all(run == whole for run in spooled)
+    # of 1, 2 and 3 rows it lands just after a flush or fills a chunk in one
+    # of them; each gives the bytes of the default chunk
+    default, *spooled = _spool_runs(monkeypatch, tmp_path, build_scenario(name, **overrides),
+                                    cfg, (None, 1, 2, 3))
+    assert default[0] == halt
+    assert all(run == default for run in spooled)
 
 
 def test_blowup_truncates_with_reason(acc_scenario):
