@@ -237,8 +237,11 @@ def _run_mode(scenario, sim: SimConfig, csv: Path, name: str, plot: bool) -> tup
     gnuplot script plot.gp of the run `name` beside it; returns the mode's
     (metrics, halt_message)."""
     log = run_closed_loop(scenario, sim)
-    metrics = summarize(log, scenario)
-    log.write_csv(csv)
+    try:
+        metrics = summarize(log, scenario)
+        log.write_csv(csv)
+    finally:
+        log.close()
     if plot:
         (csv.parent / "plot.gp").write_text(plot_script(log, scenario, name), encoding="utf-8")
     return metrics, log.halt_message

@@ -22,7 +22,9 @@ it, or its own when there is none. It is two steps: constraint_terms evaluates
 every callable at the point, and fold_terms folds the recurrence at one
 observer envelope. The closed loop's vector kernel and the start-point check
 call build_constraints; the grid validity checker takes each point's terms
-once and folds them at each distinct envelope.
+once and folds them at each distinct envelope. Each constraint is a
+FilterConstraint (p_row, deficit, margin, label): a fold_terms row given
+names, whose rhs = deficit + margin is derived, never stored.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,25 +44,24 @@ from .observer import ObserverConfig, error_envelope
 FEAS_TOL = 1e-9  # constraint slack tolerance for accepting a candidate
 
 
-@dataclass(frozen=True)
-class FilterConstraint:
-    """One half-space p^T v >= rhs, tagged with the barrier that produced it."""
+class FilterConstraint(NamedTuple):
+    """One half-space p^T v >= rhs, in the layout of a fold_terms row and
+    tagged with the barrier that produced it. rhs = deficit + margin, as
+    build_constraints assembles them; FilterConstraint(p, rhs) is a
+    constraint given by its rhs alone (margin 0). p_row is stored as given,
+    and solve_multi reads a scalar or a list as a 1-D float array."""
 
     p_row: Array
-    rhs: float
-    label: str = "h"
-    # The two parts rhs = deficit + margin, as build_constraints assembles
-    # them; a constraint given by its rhs alone has deficit = rhs, margin = 0.
-    deficit: Optional[float] = None
+    deficit: float
     margin: float = 0.0
+    label: str = "h"
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_row", np.atleast_1d(np.asarray(self.p_row, dtype=float)))
-        if self.deficit is None:
-            object.__setattr__(self, "deficit", self.rhs)
+    @property
+    def rhs(self) -> float:
+        return self.deficit + self.margin
 
     def slack(self, v: Array) -> float:
-        return float(self.p_row.dot(v)) - self.rhs
+        return float(np.vdot(self.p_row, v)) - self.rhs
 
 
 @dataclass
@@ -68,7 +69,6 @@ class FilterResult:
     """Solution of the safety QP (or the infeasibility verdict)."""
 
     v_star: Array
-    active_labels: list = field(default_factory=list)
     infeasible: bool = False
 
 
@@ -108,16 +108,14 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
         raise ConfigurationError(f"at most 8 constraints supported, got {len(constraints)}")
     if not constraints:
         return FilterResult(np.zeros(0))
-    m = constraints[0].p_row.shape[0]
+    rows = [np.atleast_1d(np.asarray(c.p_row, dtype=float)) for c in constraints]
+    m = rows[0].shape[0]
     if m == 1:
-        cons = [(float(c.p_row[0]), c.rhs) for c in constraints]
-        best = solve_1d(cons)
+        best = solve_1d([(float(p[0]), c.rhs) for p, c in zip(rows, constraints)])
         if best is None:
             return FilterResult(np.zeros(1), infeasible=True)
-        active = [c.label for (pk, rk), c in zip(cons, constraints)
-                  if abs(pk * best - rk) <= FEAS_TOL * max(1.0, abs(rk), abs(pk * best))]
-        return FilterResult(np.array([best]), active_labels=active)
-    rows = np.vstack([c.p_row for c in constraints])
+        return FilterResult(np.array([best]))
+    rows = np.vstack(rows)
     rhs = np.array([c.rhs for c in constraints])
 
     # A constraint with no normal and positive rhs cannot be satisfied by any v.
@@ -151,12 +149,7 @@ def solve_multi(constraints: Sequence[FilterConstraint]) -> FilterResult:
                 best_sq = sq
     if best is None:
         return FilterResult(np.zeros(m), infeasible=True)
-    v_norm = float(np.sqrt(best_sq))
-    active = [
-        c.label for c, nrm in zip(constraints, norms)
-        if abs(c.slack(best)) <= FEAS_TOL * max(1.0, abs(c.rhs), nrm * v_norm)
-    ]
-    return FilterResult(best, active_labels=active)
+    return FilterResult(best)
 
 
 def _channel_norm(gx: Array, lx: Array) -> float:
@@ -247,9 +240,7 @@ def build_constraints(model: SystemModel,
     """
     terms = constraint_terms(model, barriers, chain, phi, x, u, d_hat, envelope != 0.0)
     rows, values, margin_max = fold_terms(terms, envelope)
-    constraints = [FilterConstraint(p, deficit + margin, label, deficit, margin)
-                   for p, deficit, margin, label in rows]
-    return constraints, values, margin_max
+    return list(map(FilterConstraint._make, rows)), values, margin_max
 
 
 @dataclass

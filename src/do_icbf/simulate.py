@@ -26,6 +26,7 @@ import copy
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -139,7 +140,8 @@ class TrajectoryLog:
     `rows` is a (rows, columns) float64 array, one row per logged step: a
     read-only memmap of `spool`, the unnamed temporary file the loop writes
     every row to through one buffer of LOG_CHUNK_BYTES. An empty log keeps
-    its (0, columns) array, since an empty file cannot be mapped.
+    its (0, columns) array, since an empty file cannot be mapped. close()
+    closes the spool; `rows` stays readable, but write_csv needs the spool.
     `fold` holds what run_closed_loop folds over every step it decides,
     logged or not, keyed as summarize reports it."""
 
@@ -164,6 +166,11 @@ class TrajectoryLog:
         self.filter_mode = cfg.filter_mode
         self.dt = cfg.dt
         self.fold: dict = {}
+
+    def close(self) -> None:
+        """Close the spool; calling it again does nothing."""
+        if self.spool is not None:
+            self.spool.close()
 
     def write_csv(self, path) -> None:
         """UTF-8 CSV, floats at 17 significant digits, '\\n' line endings.
@@ -219,8 +226,6 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     LOG_CHUNK_BYTES, so a run holds at most one chunk of its log in memory.
     A spool that cannot be made or written raises its OSError.
     """
-    import tempfile  # here, so that the package imports it only to run a loop
-
     law = copy.deepcopy(scenario.law)
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
     z, decide, advance = make_kernel(scenario, law, cfg)

@@ -233,6 +233,16 @@ def test_module_forms_run_the_cli(tmp_path):
         assert (out / "trajectory.csv").exists(), module
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_runs_close_their_spools(tmp_path, command):
+    # in development mode an unclosed file is reported when it is collected
+    proc = _entry(command, "--scenario", "example1", "--t-end", "0.1", "--out", str(tmp_path),
+                  cwd=tmp_path, launch=("-X", "dev", "-W", "error::ResourceWarning",
+                                        "-m", "do_icbf"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):  # none running, none unreaped
         os.waitpid(-1, os.WNOHANG)

@@ -141,24 +141,64 @@ def test_solve_multi_first_order_optimality():
 
 
 def test_solve_multi_complementary_slackness():
+    # KKT from the slacks alone: v* = sum of lam_i p_i with lam >= 0 over the
+    # constraints that hold with equality, and v* = 0 when none does
     rng = SplitMix64(77)
     for _ in range(300):
         m = rng.integer(1, 3)
         k = rng.integer(1, 3)
         P, r = _random_instance(rng, m, k)
-        cons = [FilterConstraint(P[i], r[i], label=str(i)) for i in range(k)]
+        cons = [FilterConstraint(P[i], r[i]) for i in range(k)]
         res = solve_multi(cons)
         if res.infeasible:
             continue
-        for c in cons:
+        v_norm = float(np.linalg.norm(res.v_star))
+        tight = []
+        for i, c in enumerate(cons):
             slack = c.slack(res.v_star)
-            scale = max(1.0, abs(c.rhs),
-                        float(np.linalg.norm(c.p_row)) * float(np.linalg.norm(res.v_star)))
+            scale = max(1.0, abs(c.rhs), float(np.linalg.norm(c.p_row)) * v_norm)
             assert slack >= -1e-9 * scale
-            if c.label in res.active_labels:
-                assert abs(slack) <= 1e-9 * scale
-            else:
-                assert slack > -1e-9 * scale
+            if abs(slack) <= 1e-9 * scale:
+                tight.append(i)
+        if not tight:
+            assert np.array_equal(res.v_star, np.zeros(m))
+            continue
+        lam, *_ = np.linalg.lstsq(P[tight].T, res.v_star, rcond=None)
+        assert np.linalg.norm(P[tight].T @ lam - res.v_star) <= 1e-9 * max(1.0, v_norm)
+        assert lam.min() >= -1e-9 * max(1.0, float(np.abs(lam).max()))
+
+
+def test_a_list_or_scalar_row_solves_as_its_array():
+    # a row given as a list, or as a scalar when m = 1, is read as the 1-D
+    # float array it stands for: the same v*, verdict and slacks bit for bit
+    for P, r in random_instances(SplitMix64(2110), 60):
+        arrays = [FilterConstraint(P[i], r[i]) for i in range(P.shape[0])]
+        given = [FilterConstraint(P[i].tolist(), r[i]) for i in range(P.shape[0])]
+        if P.shape[1] == 1:
+            given = [FilterConstraint(float(P[i, 0]), r[i]) for i in range(P.shape[0])]
+        expected, res = solve_multi(arrays), solve_multi(given)
+        assert res.infeasible == expected.infeasible
+        assert np.array_equal(res.v_star, expected.v_star)
+        probe = expected.v_star + 0.25
+        for a, g in zip(arrays, given):
+            assert g.slack(res.v_star) == a.slack(expected.v_star)
+            assert g.slack(probe) == a.slack(probe)
+
+
+def test_a_constraint_is_its_fold_row(acc_scenario):
+    # build_constraints names the (p, deficit, margin, label) rows of the fold
+    # and rhs is their sum; a constraint given by its rhs alone has margin 0
+    sc = acc_scenario
+    envelope = error_envelope(sc.obs_cfg, 30.0)
+    constraints, _, _ = build_constraints(sc.model, sc.barriers, sc.chain, np.array([2.0]),
+                                          np.array([0.0, 13.0, 23.5]), np.array([0.0]),
+                                          np.array([2.0]), envelope)
+    assert [c._fields for c in constraints] == [("p_row", "deficit", "margin", "label")] * 2
+    assert max(c.margin for c in constraints) > 0.0
+    assert all(c.rhs == c.deficit + c.margin for c in constraints)
+    c = FilterConstraint([1.0, 2.0], 3.0)
+    assert (c.deficit, c.margin, c.label, c.rhs) == (3.0, 0.0, "h", 3.0)
+    assert c.slack(np.array([1.0, 1.0])) == 0.0
 
 
 def _safe_rate(sc, phi, r, x, u, t):

@@ -10,11 +10,11 @@ import pytest
 from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError,
                      ConfigurationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
-                     SystemModel, build_acc, build_bicycle, build_example1, build_scenario,
-                     check_validity, linear_rate, rk4_step, run_closed_loop, simulate,
-                     sinusoid_disturbance, summarize)
+                     SystemModel, build_acc, build_bicycle, build_constraints, build_example1,
+                     build_scenario, check_validity, error_envelope, linear_rate, rk4_step,
+                     run_closed_loop, simulate, sinusoid_disturbance, summarize)
 from do_icbf.control_laws import ZeroRate
-from oracles import column, replay
+from oracles import active_set_oracle, column, replay
 
 
 def test_rk4_zero_rhs():
@@ -310,6 +310,65 @@ def test_replay_reproduces_every_logged_decision(name, overrides, cfg, fast):
         assert replayed.tobytes() == rows.tobytes()  # bit for bit
 
 
+class _ConstantRate:
+    """A nominal law whose rate is one constant vector."""
+
+    def __init__(self, rate):
+        self.value = np.asarray(rate, dtype=float)
+
+    def rate(self, t, x, u, dt):
+        return self.value
+
+
+def _two_input_scenario(seed: int) -> Scenario:
+    """n = m = 2, p = 1: two plain barriers c + g_u . u + g_x . x with seeded,
+    independent input gradients, and a nominal rate that drives u towards
+    both boundaries at once."""
+    rng = SplitMix64(seed)
+    ell = np.array([[1.0], [0.5]])
+    model = SystemModel(n=2, m=2, p=1, F=lambda x, u: np.array([u[0] - x[0], u[1] - x[1]]),
+                        ell=lambda x: ell, d_true=sinusoid_disturbance(0.2, 1.0))
+
+    def plain(label, grad_u, grad_x):
+        c, gu, gx = rng.uniform(0.5, 1.0), np.array(grad_u), np.array(grad_x)
+        return BarrierSpec(h=lambda x, u: c + gu.dot(u) + gx.dot(x), gamma=linear_rate(2.0),
+                           grad_x=lambda x, u: gx, grad_u=lambda x, u: gu, label=label)
+
+    barriers = (plain("a", (-1.0, -rng.uniform(0.2, 0.6)), (-0.1, 0.0)),
+                plain("b", (rng.uniform(0.2, 0.6), -1.0), (0.0, -0.1)))
+    obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, e_d0_bound=0.2,
+                         bounds=DisturbanceBounds(0.2, 0.2))
+    return Scenario(name="two-input", model=model, law=_ConstantRate([1.0, 1.0]), obs_cfg=obs,
+                    initial=AugmentedState(np.zeros(2), np.zeros(2), np.zeros(1)),
+                    domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-10.0, -10.0), (10.0, 10.0)),
+                    barriers=barriers)
+
+
+def test_two_input_loop_solves_each_step_as_the_active_set_oracle():
+    # the vector kernel with m = 2: every logged v* is the least-norm point of
+    # that row's own constraints, and on some rows both constraints hold with
+    # equality, so the loop runs solve_multi's two-constraint subset
+    sc = _two_input_scenario(20231021)
+    log = run_closed_loop(sc, SimConfig(dt=1e-2, t_end=2.0))
+    assert log.halt_reason == "completed"
+    col = log.header.index
+    both_tight = 0
+    for row in log.rows:
+        x, u, phi = row[1:3], row[3:5], row[col("phi0"):col("phi0") + 2]
+        v = row[col("vstar0"):col("vstar0") + 2]
+        constraints, _, _ = build_constraints(
+            sc.model, sc.barriers, sc.chain, phi, x, u, row[col("dhat0"):col("dhat0") + 1],
+            error_envelope(sc.obs_cfg, float(row[0])))
+        v_as = active_set_oracle(np.array([c.p_row for c in constraints]),
+                                 np.array([c.rhs for c in constraints]))
+        assert np.linalg.norm(v - v_as) <= 1e-9 * np.linalg.norm(v_as), (row[0], v, v_as)
+        both_tight += all(
+            abs(row[col(f"slack_{c.label}")])
+            <= 1e-9 * max(1.0, abs(c.rhs), float(np.linalg.norm(c.p_row) * np.linalg.norm(v)))
+            for c in constraints)
+    assert both_tight > 0
+
+
 @pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
 def test_a_scenario_with_no_constraint_runs_unfiltered(mode):
     # nothing to enforce: both kernels complete with v* = 0 at every step
@@ -405,6 +464,15 @@ def test_spooled_log_of_a_halted_run(monkeypatch, tmp_path, name, overrides, cfg
                                     cfg, (None, 1, 2, 3))
     assert default[0] == halt
     assert all(run == default for run in spooled)
+
+
+def test_closing_a_log_keeps_its_rows(example1_scenario):
+    log = run_closed_loop(example1_scenario, SimConfig(dt=1e-2, t_end=0.5))
+    last = np.array(log.rows[-1])
+    log.close()
+    log.close()  # a second close does nothing
+    assert log.spool.closed
+    assert len(log.rows) == 51 and np.array_equal(log.rows[-1], last)
 
 
 def test_blowup_truncates_with_reason(acc_scenario):
