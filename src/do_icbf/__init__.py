@@ -11,7 +11,7 @@ from .control_laws import PredictiveCruiseRate, StanleyRateLaw
 from .errors import BlowupError, ConfigurationError
 from .filter import (FilterConstraint, FilterResult, ValidityReport,
                      build_constraints, check_validity, solve_multi)
-from .model import AugmentedState, DisturbanceBounds, SystemModel, linear_rate
+from .model import DisturbanceBounds, SystemModel, linear_rate
 from .observer import ObserverConfig, check_gain_condition, error_envelope
 from .rng import SplitMix64
 from .scenarios import (build_acc, build_bicycle, build_example1,

@@ -1,4 +1,4 @@
-"""Plant model, augmented state, disturbance bounds and the linear class-K rate.
+"""Plant model, disturbance bounds and the linear class-K rate.
 
 The controlled plant is  xdot = F(x, u) + ell(x) d  with state x in R^n, input
 u in R^m and an additive disturbance d in R^p entering through the channel
@@ -68,19 +68,3 @@ class DisturbanceBounds:
                 f"disturbance bounds must be nonnegative, got k0={self.k0}, k1={self.k1}"
             )
 
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Stacked closed-loop state (x, u, r): plant state, integrated input, observer state."""
-
-    x: Array
-    u: Array
-    r: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-
-    def as_vector(self) -> Array:
-        return np.concatenate([self.x, self.u, self.r])

@@ -39,8 +39,7 @@ import numpy as np
 from .barriers import BarrierChain, BarrierSpec, DomainBox
 from .control_laws import PredictiveCruiseRate, StanleyRateLaw, ZeroRate
 from .errors import ConfigurationError
-from .model import (AugmentedState, DisturbanceBounds, SystemModel, _as_vector,
-                    linear_rate)
+from .model import DisturbanceBounds, SystemModel, _as_vector, linear_rate
 from .observer import ObserverConfig, check_gain_condition
 from .simulate import Scenario
 
@@ -146,12 +145,9 @@ def build_acc(*,
 
     x0 = _as_vector(x0, 3, "initial_x")
     u0 = _as_vector(u0, 1, "initial_u")
-    # Start the observer with a zero estimate: r(0) = -beta q(x0).
-    ld = ell_mat.T.copy()
-    r0 = -beta * (ld @ x0)
-    e_d0 = bounds.k0 + 0.0  # ||d_hat(0)|| = 0 by construction
-    obs_cfg = ObserverConfig(beta=beta, L_d=ld, mu1=mu1, e_d0_bound=e_d0,
-                             bounds=bounds)
+    # The observer starts from d_hat(0) = 0 (Scenario.start), so E0 = k0.
+    obs_cfg = ObserverConfig(beta=beta, L_d=ell_mat.T.copy(), mu1=mu1,
+                             e_d0_bound=bounds.k0 + 0.0, bounds=bounds)
     check_gain_condition(obs_cfg, model,
                          [x0, np.array([10.0, v0, 30.0]), np.array([50.0, v_d, 60.0])])
 
@@ -166,7 +162,8 @@ def build_acc(*,
         model=model,
         law=law,
         obs_cfg=obs_cfg,
-        initial=AugmentedState(x0, u0, r0),
+        x0=x0,
+        u0=u0,
         domain=domain,
         barriers=(h_u_spec,),
         chain=chain,
@@ -301,7 +298,8 @@ def build_bicycle(*,
         model=model,
         law=law,
         obs_cfg=obs_cfg,
-        initial=AugmentedState(x0, u0, np.zeros(1)),
+        x0=x0,
+        u0=u0,
         domain=domain,
         chain=chain,
         designated_mode="high_order",
@@ -351,8 +349,8 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
         model=model,
         law=ZeroRate(),
         obs_cfg=obs_cfg,
-        initial=AugmentedState(_as_vector(x0, 1, "initial_x"),
-                               _as_vector(u0, 1, "initial_u"), np.zeros(1)),
+        x0=_as_vector(x0, 1, "initial_x"),
+        u0=_as_vector(u0, 1, "initial_u"),
         domain=domain,
         barriers=(h_x, h_u),
         designated_mode="do_icbf",

@@ -35,7 +35,7 @@ import numpy as np
 from .barriers import BarrierChain, BarrierSpec, DomainBox, require_values
 from .errors import BlowupError, ConfigurationError
 from .filter import build_constraints, solve_1d, solve_multi
-from .model import Array, AugmentedState, SystemModel, _as_vector
+from .model import Array, SystemModel, _as_vector
 from .observer import LinearPotential, ObserverConfig, error_envelope
 
 FILTER_MODES = ("off", "icbf", "do_icbf", "high_order")
@@ -72,13 +72,18 @@ class SimConfig:
 
 @dataclass
 class Scenario:
-    """A complete benchmark: plant, nominal law, barriers, observer, start point."""
+    """A complete benchmark: plant, nominal law, barriers, observer, start point.
+
+    A run starts from the plant state x0 (n values) and the input u0 (m
+    values). The observer starts from a zero estimate, d_hat(0) = 0 (see
+    start), so an obs_cfg.e_d0_bound of k0 bounds its initial error."""
 
     name: str
     model: SystemModel
     law: object  # nominal law with rate(t, x, u, dt) -> udot; each run takes a deep copy
     obs_cfg: ObserverConfig
-    initial: AugmentedState
+    x0: Array
+    u0: Array
     domain: DomainBox
     barriers: Sequence[BarrierSpec] = field(default_factory=tuple)
     chain: Optional[BarrierChain] = None
@@ -96,8 +101,9 @@ class Scenario:
     fast_loop: bool = False
 
     def __post_init__(self):
-        for name, size in (("x", self.model.n), ("u", self.model.m), ("r", self.model.p)):
-            _as_vector(getattr(self.initial, name), size, f"initial.{name}")
+        self.x0 = _as_vector(self.x0, self.model.n, "x0")
+        self.u0 = _as_vector(self.u0, self.model.m, "u0")
+        self.start()  # q(x0) must have p entries
         for role, box in (("domain", self.domain), ("check_box", self.check_box or self.domain)):
             box.require_dims(self.model.n, self.model.m, role)
         require_values(self.barriers, "plain barrier")
@@ -106,15 +112,19 @@ class Scenario:
         if repeated:
             raise ConfigurationError(f"barrier labels must be distinct, repeated: {repeated}")
 
+    def start(self) -> Array:
+        """The augmented start state z0 = (x0, u0, r0) with r0 = -beta q(x0),
+        so that the observer's estimate d_hat(0) = r0 + beta q(x0) is zero."""
+        obs = self.obs_cfg
+        q0 = _as_vector(obs.q_fn(self.x0), self.model.p, "q_fn(x0)")
+        return np.concatenate((self.x0, self.u0, -obs.beta * q0))
+
     def validate_initial(self) -> None:
         """The start point must lie in every protected set (filters only keep
         you inside a set you start in)."""
-        x0, u0, r0 = self.initial.x, self.initial.u, self.initial.r
-        d_hat0 = r0 + self.obs_cfg.beta * self.obs_cfg.q_fn(x0)
-        phi0 = np.zeros(self.model.m)
         _, values, _ = build_constraints(
-            self.model, self.barriers, self.chain, phi0, x0, u0, d_hat0,
-            error_envelope(self.obs_cfg, 0.0))
+            self.model, self.barriers, self.chain, np.zeros(self.model.m), self.x0, self.u0,
+            np.zeros(self.model.p), error_envelope(self.obs_cfg, 0.0))
         bad = {k: v for k, v in values.items() if not v >= 0.0}  # NaN too
         if bad:
             raise ConfigurationError(
@@ -224,7 +234,8 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     file made before the first step (tempfile's choice of directory:
     $TMPDIR, else /tmp, which must be writable), through one buffer of
     LOG_CHUNK_BYTES, so a run holds at most one chunk of its log in memory.
-    A spool that cannot be made or written raises its OSError.
+    A spool that cannot be made or written raises its OSError. Any exception
+    that does not halt the run closes the spool before it propagates.
     """
     law = copy.deepcopy(scenario.law)
     make_kernel = _float_kernel if scenario.fast_loop else _vector_kernel
@@ -290,6 +301,9 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
         log.halt_reason = "blowup"
     except (ValueError, ArithmeticError) as exc:
         log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"
+    except BaseException:
+        spool.close()
+        raise
     if not logged:  # a blowup or error halt: the log ends at the last decided step
         write(pack(t_last, *z_k[:nm], *phi, *v_star, *d, *d_hat, *values, *slacks,
                    margin, 0.0))
@@ -350,15 +364,12 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             fx = np.asarray(F(xx, zz[n:n + m]), dtype=float)
             lx = np.asarray(ell(xx))
             d_hat = zz[n + m:] + beta * q_fn(xx)
-            out = np.empty(n + m + p)
-            out[:n] = fx + lx.dot(d_true(tt))
-            out[n:n + m] = u_rate
-            out[n + m:] = -beta * np.asarray(gain_at(xx)).dot(fx + lx.dot(d_hat))
-            return out
+            return np.concatenate((fx + lx.dot(d_true(tt)), u_rate,
+                                   -beta * np.asarray(gain_at(xx)).dot(fx + lx.dot(d_hat))))
 
         return rk4_step(rhs, t, z, dt)
 
-    return scenario.initial.as_vector(), decide, advance
+    return scenario.start(), decide, advance
 
 
 def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
@@ -379,7 +390,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     obs = scenario.obs_cfg
     if not (isinstance(obs.q_fn, LinearPotential) and np.array_equal(obs.q_fn.matrix, obs.L_d)):
         raise ConfigurationError("fast_loop (the float kernel) needs a constant L_d and q = L_d x")
-    ell0 = np.asarray(model.ell(scenario.initial.x), dtype=float)
+    ell0 = np.asarray(model.ell(scenario.x0), dtype=float)
     ellc = tuple(float(v) for v in ell0[:, 0])
     gain = tuple(float(v) for v in np.atleast_2d(obs.L_d)[0])
     beta = obs.beta
@@ -485,7 +496,7 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             raise BlowupError(t)
         return z
 
-    return [float(v) for v in scenario.initial.as_vector()], decide, advance
+    return [float(v) for v in scenario.start()], decide, advance
 
 
 def summarize(log: TrajectoryLog, scenario: Optional[Scenario] = None) -> dict:

@@ -94,7 +94,7 @@ def test_criterion_3_acc_settles_at_lead_speed():
 
 def test_criterion_4_bicycle_invariance():
     scenario = build_bicycle()
-    assert np.allclose(scenario.initial.x, [15.0, 10.0, math.pi / 2, 0.5])
+    assert np.allclose(scenario.x0, [15.0, 10.0, math.pi / 2, 0.5])
     with Budget(5.0) as budget:
         log = run_closed_loop(scenario, SimConfig(dt=1e-3, t_end=60.0,
                                                   filter_mode="high_order"))

@@ -38,8 +38,8 @@ def test_input_gradient_bicycle_top_level_matches_fd(bicycle_scenario):
     # against central differences of the recurrence value b2 that the same
     # assembly evaluates
     sc = bicycle_scenario
-    x = sc.initial.x
-    u = sc.initial.u
+    x = sc.x0
+    u = sc.u0
 
     def assemble(uv):
         return build_constraints(sc.model, (), sc.chain, np.zeros(1), x, uv, np.zeros(1), 0.0)

@@ -213,7 +213,7 @@ def _safe_rate(sc, phi, r, x, u, t):
 def test_safe_rate_slack_constraints_leave_phi_untouched(bicycle_scenario):
     sc = bicycle_scenario
     phi = np.array([0.05])
-    u_dot, result, _ = _safe_rate(sc, phi, sc.initial.r, sc.initial.x, sc.initial.u, 0.0)
+    u_dot, result, _ = _safe_rate(sc, phi, sc.start()[-1:], sc.x0, sc.u0, 0.0)
     assert not result.infeasible
     assert np.array_equal(result.v_star, np.zeros(1))
     assert np.array_equal(u_dot, phi)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, ConfigurationError, DisturbanceBounds,
-                     SplitMix64, linear_rate)
+from do_icbf import ConfigurationError, DisturbanceBounds, SplitMix64, linear_rate
 
 from oracles import finite_diff_gradient
 
@@ -106,19 +105,3 @@ def test_disturbance_bounds_validation():
     with pytest.raises(ConfigurationError):
         DisturbanceBounds(1.0, -2.0)
 
-
-def test_augmented_state_round_trip():
-    # the kernels read x, u and r back as the slices of as_vector()
-    rng = SplitMix64(7)
-    for _ in range(100):
-        n = rng.integer(1, 4)
-        m = rng.integer(1, 3)
-        p = rng.integer(1, 2)
-        x = np.array([rng.uniform(-9, 9) for _ in range(n)])
-        u = np.array([rng.uniform(-9, 9) for _ in range(m)])
-        r = np.array([rng.uniform(-9, 9) for _ in range(p)])
-        vec = AugmentedState(x, u, r).as_vector()
-        assert vec.shape == (n + m + p,)
-        assert np.array_equal(vec[:n], x)
-        assert np.array_equal(vec[n:n + m], u)
-        assert np.array_equal(vec[n + m:], r)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import logging
 import math
@@ -5,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, ConfigurationError,
+from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError,
                      DisturbanceBounds, ObserverConfig, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_constraints,
                      check_gain_condition, error_envelope, linear_rate, run_closed_loop,
-                     filter as qp, sinusoid_disturbance)
+                     filter as qp, simulate, sinusoid_disturbance)
 
 from oracles import augmented_rhs, column, disturbance_estimate, finite_diff_gradient, rk4
 
@@ -23,12 +24,12 @@ def make_cfg(beta=1.0, mu1=1.0, e0=2.0, bounds=BOUNDS, L_d=None):
 
 
 def _logged_estimate(scenario, cfg, x, r):
-    """The d_hat that the vector kernel logs at t = 0 when the run starts
-    from (x, u0, r) with observer cfg."""
-    sc = dataclasses.replace(scenario, obs_cfg=cfg, fast_loop=False,
-                             initial=AugmentedState(x, scenario.initial.u, r))
-    log = run_closed_loop(sc, SimConfig(dt=1e-3, t_end=1e-3, filter_mode="off"))
-    return log.rows[0][log.header.index("dhat0")]
+    """The d_hat that the vector kernel's decide returns at t = 0 for the
+    state z = (x, u0, r) under observer cfg."""
+    sc = dataclasses.replace(scenario, obs_cfg=cfg)
+    _, decide, _ = simulate._vector_kernel(sc, copy.deepcopy(sc.law),
+                                           SimConfig(dt=1e-3, t_end=1e-3, filter_mode="off"))
+    return decide(0.0, np.concatenate((x, sc.u0, r)), 0.0)[3][0]
 
 
 def test_estimate_identity_potential(acc_scenario):
@@ -45,13 +46,13 @@ def test_estimate_cancellation(acc_scenario):
 
 
 def test_estimate_acc_at_start(acc_scenario):
-    # with r(0) = 0 the estimate is beta * q(x0) = x2(0)
+    # with r = 0 the estimate is beta * q(x0) = x2(0)
     cfg = acc_scenario.obs_cfg
-    x0 = acc_scenario.initial.x
+    x0 = acc_scenario.x0
     assert _logged_estimate(acc_scenario, cfg, x0, np.zeros(1)) == pytest.approx(cfg.beta * x0[1])
-    # the shipped scenario starts the internal state at -beta q(x0) instead
-    d_hat0 = _logged_estimate(acc_scenario, cfg, x0, acc_scenario.initial.r)
-    assert d_hat0 == pytest.approx(0.0, abs=1e-15)
+    # a run starts the internal state at -beta q(x0) instead
+    d_hat0 = _logged_estimate(acc_scenario, cfg, x0, acc_scenario.start()[-1:])
+    assert d_hat0 == 0.0
 
 
 def test_observer_rhs_kernel_case():
@@ -120,7 +121,7 @@ def test_vector_kernel_step_matches_augmented_rhs_oracle(name):
     log = run_closed_loop(scenario, SimConfig(dt=dt, t_end=dt, filter_mode="off"))
     col = log.header.index
     first, second = log.rows
-    z0 = scenario.initial.as_vector()
+    z0 = scenario.start()
     z1 = rk4(augmented_rhs(model, cfg, [first[col("phi0")]]), 0.0, z0, dt)
     for row, z in ((first, z0), (second, z1)):
         logged = [row[col(f"x{i}")] for i in range(n)] + [row[col(f"u{i}")] for i in range(m)]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from do_icbf import (AugmentedState, BarrierChain, BarrierSpec, BlowupError,
+from do_icbf import (BarrierChain, BarrierSpec, BlowupError,
                      ConfigurationError, DisturbanceBounds, DomainBox,
                      ObserverConfig, Scenario, SimConfig, SplitMix64,
                      SystemModel, build_acc, build_bicycle, build_constraints, build_example1,
@@ -100,7 +100,7 @@ def _static_scenario():
                          e_d0_bound=0.0, bounds=DisturbanceBounds(0.0, 0.0))
     return Scenario(
         name="static", model=model, law=ZeroRate(), obs_cfg=obs,
-        initial=AugmentedState(np.array([0.5]), np.zeros(1), np.zeros(1)),
+        x0=np.array([0.5]), u0=np.zeros(1),
         domain=DomainBox((-1.0,), (1.0,), (-1.0,), (1.0,)),
     )
 
@@ -164,9 +164,33 @@ def test_halt_row_does_not_depend_on_log_stride(name, overrides, cfg, halt):
 
 def test_initial_state_must_match_model_dimensions():
     sc = _static_scenario()
-    for x, u, r in (([0.5, 0.0], [0.0], [0.0]), ([0.5], [], [0.0]), ([0.5], [0.0], [0.0, 0.0])):
-        with pytest.raises(ConfigurationError, match="initial"):
-            dataclasses.replace(sc, initial=AugmentedState(x, u, r))
+    for x, u in (([0.5, 0.0], [0.0]), ([0.5], [])):
+        with pytest.raises(ConfigurationError, match="^[xu]0: expected a vector of length 1"):
+            dataclasses.replace(sc, x0=x, u0=u)
+    # the observer starts at r = -beta q(x0), which needs p entries
+    obs = dataclasses.replace(sc.obs_cfg, q_fn=lambda x: np.zeros(2))
+    with pytest.raises(ConfigurationError, match=r"^q_fn\(x0\): expected a vector of length 1"):
+        dataclasses.replace(sc, obs_cfg=obs)
+
+
+def test_start_stacks_x0_u0_and_a_zero_estimate():
+    # the kernels read x, u and r back as the slices of Scenario.start(), and
+    # r = -beta q(x0) makes the estimate r + beta q(x0) exactly zero
+    rng = SplitMix64(7)
+    for _ in range(100):
+        n, m, p = rng.integer(1, 4), rng.integer(1, 3), rng.integer(1, 2)
+        x, u = ([rng.uniform(-9, 9) for _ in range(k)] for k in (n, m))
+        obs = ObserverConfig(beta=rng.uniform(0.5, 2.0), mu1=0.5, e_d0_bound=0.0,
+                             L_d=[[rng.uniform(-9, 9) for _ in range(n)] for _ in range(p)],
+                             bounds=DisturbanceBounds(0.0, 0.0))
+        model = SystemModel(n=n, m=m, p=p, F=lambda x, u: 0.0 * x,
+                            ell=lambda x, shape=(n, p): np.zeros(shape))
+        sc = Scenario(name="start", model=model, law=ZeroRate(), obs_cfg=obs, x0=x, u0=u,
+                      domain=DomainBox([-9.0] * n, [9.0] * n, [-9.0] * m, [9.0] * m))
+        z0 = sc.start()
+        assert z0.shape == (n + m + p,)
+        assert np.array_equal(z0[:n], x) and np.array_equal(z0[n:n + m], u)
+        assert np.array_equal(z0[n + m:] + obs.beta * obs.q_fn(sc.x0), np.zeros(p))
 
 
 WIDE = DomainBox(x_low=(-10.0, -10.0), x_high=(10.0, 10.0), u_low=(-2.0,), u_high=(2.0,))
@@ -221,12 +245,11 @@ def _wall_scenario():
         BarrierSpec(h=None, gamma=linear_rate(k2), label="b2",
                     grad_x=lambda x, u: (-k1 * k0, -k0 - k1), grad_u=lambda x, u: (-1.0,)),
     ))
-    x0 = np.array([0.5, 0.2])
     obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, e_d0_bound=0.2,
                          bounds=DisturbanceBounds(0.2, 0.2))
     return Scenario(
         name="wall", model=model, law=ZeroRate(), obs_cfg=obs,
-        initial=AugmentedState(x0, np.array([0.2]), -(ell.T @ x0)),
+        x0=np.array([0.5, 0.2]), u0=np.array([0.2]),
         domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-5.0,), (5.0,)),
         chain=chain, fast_loop=True,
     )
@@ -260,8 +283,9 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
 
 
 def test_float_kernel_needs_the_default_potential():
-    # q = L_d x + 1 starts the estimate at 1, which the float kernel, summing
-    # L_d x itself, would not see; nor a potential left from another L_d
+    # q = L_d x + 1 starts r at -beta (L_d x0 + 1): the vector kernel reads
+    # the estimate r + beta q(x0) = 0, where the float kernel, summing L_d x
+    # itself, would read -beta; nor may a potential be left from another L_d
     acc = build_acc()
     obs = acc.obs_cfg
     cfg = SimConfig(dt=1e-3, t_end=0.01)
@@ -270,8 +294,10 @@ def test_float_kernel_needs_the_default_potential():
     for custom in (shifted, stale):
         with pytest.raises(ConfigurationError, match="q = L_d x"):
             run_closed_loop(dataclasses.replace(acc, obs_cfg=custom), cfg)
-    log = run_closed_loop(dataclasses.replace(acc, obs_cfg=shifted, fast_loop=False), cfg)
-    assert column(log, "dhat0")[0] == 1.0
+    vector = dataclasses.replace(acc, obs_cfg=shifted, fast_loop=False)
+    assert column(run_closed_loop(vector, cfg), "dhat0")[0] == 0.0
+    z0 = vector.start()
+    assert z0[-1] + obs.beta * obs.L_d.dot(z0[:3])[0] == -obs.beta
     # the default potential of the config's own L_d runs, however it was copied
     log = run_closed_loop(dataclasses.replace(acc, obs_cfg=dataclasses.replace(obs)), cfg)
     assert log.halt_reason == "completed"
@@ -339,7 +365,7 @@ def _two_input_scenario(seed: int) -> Scenario:
     obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, e_d0_bound=0.2,
                          bounds=DisturbanceBounds(0.2, 0.2))
     return Scenario(name="two-input", model=model, law=_ConstantRate([1.0, 1.0]), obs_cfg=obs,
-                    initial=AugmentedState(np.zeros(2), np.zeros(2), np.zeros(1)),
+                    x0=np.zeros(2), u0=np.zeros(2),
                     domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-10.0, -10.0), (10.0, 10.0)),
                     barriers=barriers)
 
@@ -369,6 +395,69 @@ def test_two_input_loop_solves_each_step_as_the_active_set_oracle():
     assert both_tight > 0
 
 
+def _two_channel_scenario(seed: int, state_gain: bool) -> Scenario:
+    """n = p = 2, m = 1 and ell = I: a seeded sinusoid on each axis inside
+    (k0, k1), E0 = k0, and one plain barrier whose x-gradient meets both
+    channels, so its margin is the 2-norm over p = 2. The gain is L_d =
+    diag(1, 2), or with state_gain the state map diag(1, 1.5 + 0.5 sin x2)
+    of q(x) = (x1, 1.5 x2 - 0.5 cos x2); either way sym(L_d ell) >= I with
+    distinct eigenvalues."""
+    rng = SplitMix64(seed)
+    amp, omega, phase = ([rng.uniform(lo, hi) for _ in range(2)]
+                         for lo, hi in ((0.2, 0.5), (0.5, 2.0), (0.0, 2.0 * math.pi)))
+
+    def d_true(t):
+        return np.array([a * math.sin(w * t + ph) for a, w, ph in zip(amp, omega, phase)])
+
+    k0, k1 = math.hypot(*amp), math.hypot(amp[0] * omega[0], amp[1] * omega[1])
+    eye = np.eye(2)
+    model = SystemModel(n=2, m=1, p=2, F=lambda x, u: np.array([u[0] - x[0], 0.5 * u[0] - x[1]]),
+                        ell=lambda x: eye, d_true=d_true)
+    gx, gu = np.array([-1.0, -0.5]), np.array([-0.5])
+    barrier = BarrierSpec(h=lambda x, u: 3.0 + gx.dot(x) + gu.dot(u), gamma=linear_rate(1.0),
+                          grad_x=lambda x, u: gx, grad_u=lambda x, u: gu, label="h")
+    if state_gain:
+        gain = dict(L_d=lambda x: np.diag([1.0, 1.5 + 0.5 * math.sin(x[1])]),
+                    q_fn=lambda x: np.array([x[0], 1.5 * x[1] - 0.5 * math.cos(x[1])]))
+    else:
+        gain = dict(L_d=np.diag([1.0, 2.0]))
+    obs = ObserverConfig(beta=2.0, mu1=1.0, e_d0_bound=k0, bounds=DisturbanceBounds(k0, k1),
+                         **gain)
+    return Scenario(name="two-channel", model=model, law=_ConstantRate([1.0]), obs_cfg=obs,
+                    x0=np.array([0.5, -0.5]), u0=np.zeros(1),
+                    domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-10.0,), (10.0,)),
+                    barriers=(barrier,))
+
+
+@pytest.mark.parametrize("state_gain", [False, True], ids=["constant-gain", "state-gain"])
+def test_two_channel_loop_keeps_its_envelope_and_replays(state_gain):
+    # the vector kernel with p = 2: the observer stays inside its envelope
+    # (criterion 5's tolerance), the filter acts with a nonzero margin, and
+    # every logged row is what its own values assemble and solve to
+    sc = _two_channel_scenario(20231022, state_gain)
+    cfg = SimConfig(dt=1e-2, t_end=10.0)
+    log = run_closed_loop(sc, cfg)
+    assert log.halt_reason == "completed"
+    assert summarize(log)["envelope_violation_max"] <= 1e-6
+    assert np.all(column(log, "c_margin") > 0.0) and np.any(column(log, "vstar0") < 0.0)
+    assert replay(sc, cfg, log).tobytes() == np.asarray(log.rows).tobytes()
+
+
+@pytest.mark.parametrize("name", ["acc", "bicycle", "example1", "two-channel"])
+def test_a_run_starts_from_a_zero_estimate(name):
+    # Scenario.start sets r(0) = -beta q(x0), so each kernel logs d_hat(0) = 0
+    if name == "two-channel":
+        scenario = _two_channel_scenario(20231022, state_gain=True)
+    else:
+        scenario = build_scenario(name)
+    p = scenario.model.p
+    for fast in {scenario.fast_loop, False}:
+        log = run_closed_loop(dataclasses.replace(scenario, fast_loop=fast),
+                              SimConfig(dt=1e-3, t_end=1e-3))
+        first = log.rows[0]
+        assert [first[log.header.index(f"dhat{i}")] for i in range(p)] == [0.0] * p, fast
+
+
 @pytest.mark.parametrize("mode", ["off", "icbf", "do_icbf", "high_order"])
 def test_a_scenario_with_no_constraint_runs_unfiltered(mode):
     # nothing to enforce: both kernels complete with v* = 0 at every step
@@ -393,12 +482,12 @@ def test_truncation_on_infeasibility():
 def test_log_is_packed_float64(bicycle_scenario):
     # one 8-byte double per logged value, and at most one chunk of them in
     # memory: whatever the horizon, a run retains no more than a chunk plus a
-    # fixed 64 KiB (a 5 s bicycle run has 5001 rows of 128 B, 640 KB), and
-    # holds no more than two chunks at its peak (the buffer and the bytes
-    # written from it); the rest is in the spool, 8 B per value
+    # fixed 64 KiB (a 2 s bicycle run has 2001 rows of 128 B, 256 KB, nearly
+    # twice that), and holds no more than two chunks at its peak (the buffer
+    # and the bytes written from it); the rest is in the spool, 8 B per value
     chunk = simulate.LOG_CHUNK_BYTES
     run_closed_loop(bicycle_scenario, SimConfig(dt=1e-3, t_end=0.01, filter_mode="high_order"))
-    for t_end in (5.0, 20.0):
+    for t_end in (2.0, 8.0):
         cfg = SimConfig(dt=1e-3, t_end=t_end, filter_mode="high_order")
         gc.collect()
         tracemalloc.start()
@@ -475,6 +564,30 @@ def test_closing_a_log_keeps_its_rows(example1_scenario):
     assert len(log.rows) == 51 and np.array_equal(log.rows[-1], last)
 
 
+def test_an_exception_that_does_not_halt_closes_the_spool(monkeypatch, example1_scenario):
+    # a law that raises TypeError is not a halt: the exception propagates,
+    # and the run's spool is closed rather than left to the garbage collector
+    spools = []
+    make = simulate.tempfile.TemporaryFile
+
+    def keep(*args, **kwargs):
+        spools.append(make(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(simulate.tempfile, "TemporaryFile", keep)
+
+    class FailingLaw:
+        def rate(self, t, x, u, dt):
+            if t > 0.05:
+                raise TypeError("rate fails")
+            return np.zeros(1)
+
+    with pytest.raises(TypeError, match="rate fails"):
+        run_closed_loop(dataclasses.replace(example1_scenario, law=FailingLaw()),
+                        SimConfig(dt=1e-2, t_end=1.0))
+    assert len(spools) == 1 and spools[0].closed
+
+
 def test_blowup_truncates_with_reason(acc_scenario):
     # a wildly unstable step size overflows the closed loop
     log = run_closed_loop(acc_scenario, SimConfig(dt=2.0, t_end=2000.0,
@@ -510,7 +623,7 @@ def test_build_acc_checks_and_values(acc_scenario):
 
 def test_build_bicycle_checks_and_values(bicycle_scenario):
     b0 = bicycle_scenario.chain.levels[0]
-    x0 = bicycle_scenario.initial.x
+    x0 = bicycle_scenario.x0
     assert b0.h(x0, np.zeros(1)) == pytest.approx(324.0)
     # a zero wheelbase would divide by zero in F and the chain gradients
     for wheelbase in (0.0, -1.0, math.nan):
