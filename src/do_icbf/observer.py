@@ -48,12 +48,13 @@ class ObserverConfig:
     L_d may be a constant p x n matrix or a state map; for a constant matrix
     the potential defaults to q(x) = L_d x (the unique potential with
     dq/dx = L_d up to a constant absorbed into r(0)), a LinearPotential.
+    The envelope's E0 is bounds.k0, not a setting: a run starts the observer
+    from d_hat(0) = 0, so its initial error is ||d(0)|| <= k0.
     """
 
     beta: float
     L_d: Union[Array, Callable[[Array], Array]]
     mu1: float
-    e_d0_bound: float
     bounds: DisturbanceBounds
     q_fn: Callable[[Array], Array] = None  # type: ignore[assignment]
 
@@ -64,8 +65,6 @@ class ObserverConfig:
             raise ConfigurationError(
                 f"mu1 must satisfy 0 < mu1 < 2*beta, got mu1={self.mu1}, beta={self.beta}"
             )
-        if self.e_d0_bound < 0.0:
-            raise ConfigurationError(f"e_d0_bound must be >= 0, got {self.e_d0_bound}")
         if callable(self.L_d):
             object.__setattr__(self, "_ld_fn", self.L_d)
             if self.q_fn is None:
@@ -88,13 +87,13 @@ class ObserverConfig:
 def error_envelope(cfg: ObserverConfig, t: float) -> float:
     """Upper bound on ||d_hat(t) - d(t)|| from the envelope constants.
 
-    Equals e_d0_bound at t = 0 and approaches k1 / sqrt(2 mu1 lam) as t grows.
+    Equals E0 = bounds.k0 at t = 0 and approaches k1 / sqrt(2 mu1 lam) as t grows.
     """
     if t < 0.0:
         raise ConfigurationError(f"t must be >= 0, got {t}")
     two_ml = 2.0 * cfg.mu1 * cfg.lam
     decay = math.exp(-2.0 * cfg.lam * t)
-    e0 = cfg.e_d0_bound
+    e0 = cfg.bounds.k0
     k1 = cfg.bounds.k1
     return math.sqrt((two_ml * e0 * e0 * decay + k1 * k1 * (1.0 - decay)) / two_ml)
 

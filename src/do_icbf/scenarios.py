@@ -145,9 +145,7 @@ def build_acc(*,
 
     x0 = _as_vector(x0, 3, "initial_x")
     u0 = _as_vector(u0, 1, "initial_u")
-    # The observer starts from d_hat(0) = 0 (Scenario.start), so E0 = k0.
-    obs_cfg = ObserverConfig(beta=beta, L_d=ell_mat.T.copy(), mu1=mu1,
-                             e_d0_bound=bounds.k0 + 0.0, bounds=bounds)
+    obs_cfg = ObserverConfig(beta=beta, L_d=ell_mat.T.copy(), mu1=mu1, bounds=bounds)
     check_gain_condition(obs_cfg, model,
                          [x0, np.array([10.0, v0, 30.0]), np.array([50.0, v_d, 60.0])])
 
@@ -157,7 +155,7 @@ def build_acc(*,
     check_box = DomainBox(x_low=(0.0, 0.0, 0.0), x_high=(100.0, 30.0, 80.0),
                           u_low=(-force_limit,), u_high=(force_limit,))
 
-    scenario = Scenario(
+    return Scenario(
         name="acc",
         model=model,
         law=law,
@@ -176,8 +174,6 @@ def build_acc(*,
         check_resolution=[3, 7, 7, 7],
         fast_loop=True,
     )
-    scenario.validate_initial()
-    return scenario
 
 
 def build_bicycle(*,
@@ -280,7 +276,7 @@ def build_bicycle(*,
     u0 = np.array([law.command(x0)])
 
     obs_cfg = ObserverConfig(beta=1.0, L_d=np.zeros((1, 4)), mu1=1.0,
-                             e_d0_bound=0.0, bounds=DisturbanceBounds(0.0, 0.0))
+                             bounds=DisturbanceBounds(0.0, 0.0))
 
     domain = DomainBox(x_low=(-25.0, -25.0, -7.0, 0.0),
                        x_high=(25.0, 25.0, 7.0, 1.5),
@@ -293,7 +289,7 @@ def build_bicycle(*,
         last, col = log.rows[-1], log.header.index
         return law.cross_track(float(last[col("x0")]), float(last[col("x1")]))
 
-    scenario = Scenario(
+    return Scenario(
         name="bicycle",
         model=model,
         law=law,
@@ -311,8 +307,6 @@ def build_bicycle(*,
         check_resolution=[7, 7, 7, 4, 7],
         fast_loop=True,
     )
-    scenario.validate_initial()
-    return scenario
 
 
 def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
@@ -340,11 +334,11 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
                       grad_u=lambda x, u: (-2.0 * u[0],), label="h_u")
 
     obs_cfg = ObserverConfig(beta=1.0, L_d=np.zeros((1, 1)), mu1=1.0,
-                             e_d0_bound=0.0, bounds=DisturbanceBounds(0.0, 0.0))
+                             bounds=DisturbanceBounds(0.0, 0.0))
     domain = DomainBox(x_low=(-10.0,), x_high=(10.0,), u_low=(-2.0,), u_high=(2.0,))
     check_box = DomainBox(x_low=(0.0,), x_high=(4.0,), u_low=(-1.0,), u_high=(1.0,))
 
-    scenario = Scenario(
+    return Scenario(
         name="example1",
         model=model,
         law=ZeroRate(),
@@ -362,8 +356,6 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
         check_resolution=[9, 9],
         fast_loop=True,
     )
-    scenario.validate_initial()
-    return scenario
 
 
 BUILDERS = {

@@ -76,7 +76,10 @@ class Scenario:
 
     A run starts from the plant state x0 (n values) and the input u0 (m
     values). The observer starts from a zero estimate, d_hat(0) = 0 (see
-    start), so an obs_cfg.e_d0_bound of k0 bounds its initial error."""
+    start), so its initial error is at most k0, the envelope's E0.
+    Construction, dataclasses.replace too, checks that the start lies in
+    every protected set (barrier values at phi = 0, d_hat = 0 and E(0)) and,
+    with fast_loop, the float kernel's checkable preconditions."""
 
     name: str
     model: SystemModel
@@ -94,10 +97,10 @@ class Scenario:
     tracking_fn: Optional[Callable[["TrajectoryLog"], float]] = None
     check_box: Optional[DomainBox] = None
     check_resolution: object = 5
-    # Opt-in float step kernel: requires m = p = 1, a constant disturbance
-    # channel and observer gain, the default potential q = L_d x, and barrier
-    # callables that accept plain sequences. The builders in scenarios.py
-    # qualify; custom scenarios keep the vector kernel unless they opt in.
+    # Opt-in float step kernel: m = p = 1 and the default potential q = L_d x
+    # (both checked), a constant disturbance channel and barrier callables
+    # that accept plain sequences. The builders in scenarios.py qualify;
+    # custom scenarios keep the vector kernel unless they opt in.
     fast_loop: bool = False
 
     def __post_init__(self):
@@ -111,6 +114,22 @@ class Scenario:
         repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
         if repeated:
             raise ConfigurationError(f"barrier labels must be distinct, repeated: {repeated}")
+        model, obs = self.model, self.obs_cfg
+        if self.fast_loop:
+            if model.m != 1 or model.p != 1:
+                raise ConfigurationError("fast_loop (the float kernel) needs m = p = 1")
+            if not (isinstance(obs.q_fn, LinearPotential)
+                    and np.array_equal(obs.q_fn.matrix, obs.L_d)):
+                raise ConfigurationError(
+                    "fast_loop (the float kernel) needs a constant L_d and q = L_d x")
+        _, values, _ = build_constraints(
+            model, self.barriers, self.chain, np.zeros(model.m), self.x0, self.u0,
+            np.zeros(model.p), error_envelope(obs, 0.0))
+        bad = {k: v for k, v in values.items() if not v >= 0.0}  # NaN too
+        if bad:
+            raise ConfigurationError(
+                f"initial state is outside the safe set: {bad} (all barrier values must be >= 0)"
+            )
 
     def start(self) -> Array:
         """The augmented start state z0 = (x0, u0, r0) with r0 = -beta q(x0),
@@ -118,18 +137,6 @@ class Scenario:
         obs = self.obs_cfg
         q0 = _as_vector(obs.q_fn(self.x0), self.model.p, "q_fn(x0)")
         return np.concatenate((self.x0, self.u0, -obs.beta * q0))
-
-    def validate_initial(self) -> None:
-        """The start point must lie in every protected set (filters only keep
-        you inside a set you start in)."""
-        _, values, _ = build_constraints(
-            self.model, self.barriers, self.chain, np.zeros(self.model.m), self.x0, self.u0,
-            np.zeros(self.model.p), error_envelope(self.obs_cfg, 0.0))
-        bad = {k: v for k, v in values.items() if not v >= 0.0}  # NaN too
-        if bad:
-            raise ConfigurationError(
-                f"initial state is outside the safe set: {bad} (all barrier values must be >= 0)"
-            )
 
     @property
     def value_labels(self) -> list:
@@ -313,7 +320,7 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
         log.rows = np.memmap(spool, dtype=np.float64, mode="r").reshape(-1, width)
     log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
                 "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
-                "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.e_d0_bound)}
+                "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.bounds.k0)}
     return log
 
 
@@ -375,21 +382,17 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
 def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     """Step kernel on plain floats, with the formulas of the vector kernel.
 
-    Checked preconditions: m = p = 1, a constant observer gain L_d and its
-    default potential q = L_d x. Vouched for by fast_loop=True and not
-    checked: a constant channel column ell, which is read once at x0. The
-    state is a list; otherwise as _vector_kernel, except that decide takes
-    E(t) from the loop. Its sums and RK4 combination round differently from
-    numpy's, so the two kernels agree to ~1e-12, not bit for bit, and tests
-    pin each one separately.
+    Checked when the Scenario is made: m = p = 1 and the default potential
+    q = L_d x of a constant gain. Vouched for by fast_loop=True and not
+    checked: a constant channel column ell, read once at x0, and barrier
+    callables that accept plain sequences. The state is a list; otherwise
+    as _vector_kernel, except that decide takes E(t) from the loop. Its sums
+    and RK4 combination round differently from numpy's, so the two kernels
+    agree to ~1e-12, not bit for bit, and tests pin each one separately.
     """
     model = scenario.model
     n = model.n
-    if model.m != 1 or model.p != 1:
-        raise ConfigurationError("fast_loop (the float kernel) needs m = p = 1")
     obs = scenario.obs_cfg
-    if not (isinstance(obs.q_fn, LinearPotential) and np.array_equal(obs.q_fn.matrix, obs.L_d)):
-        raise ConfigurationError("fast_loop (the float kernel) needs a constant L_d and q = L_d x")
     ell0 = np.asarray(model.ell(scenario.x0), dtype=float)
     ellc = tuple(float(v) for v in ell0[:, 0])
     gain = tuple(float(v) for v in np.atleast_2d(obs.L_d)[0])

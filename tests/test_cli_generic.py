@@ -4,7 +4,8 @@ offered to any builder that takes d_true and bounds, and a run is named by
 its config's `scenario`. A config number is
 checked without converting it to a float, so one too large for a float is a
 config error that names its field, and so is a registered builder's box that
-does not fit its model."""
+does not fit its model, start outside its safe set, or fast_loop scenario
+that the float kernel cannot run."""
 
 import dataclasses
 import json
@@ -108,4 +109,38 @@ def test_a_builder_whose_domain_does_not_fit_its_model_is_a_config_error(tmp_pat
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("do-icbf: error: domain has state bounds of shape (2,)")
+    assert not (tmp_path / "out").exists()
+
+
+def _one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"do-icbf: error: {start}"), err
+    return err
+
+
+def test_a_start_outside_the_safe_set_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # x = 5 is past example1's wall x <= 4: refused where the scenario is
+    # made, not run and reported as an infeasible filter at t = 0
+    monkeypatch.setitem(scenarios.BUILDERS, "outside",
+                        lambda: dataclasses.replace(build_example1(), x0=[5.0]))
+    assert cli.main(["run", "--scenario", "outside", "--t-end", "0.1",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "'h_x': -1.0" in _one_error_line(capsys, "initial state is outside the safe set")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_fast_loop_scenario_the_float_kernel_cannot_run_is_a_config_error(
+        command, tmp_path, monkeypatch, capsys):
+    # acc takes the float kernel, which cannot run a shifted potential
+    def shifted():
+        acc = build_acc()
+        obs = acc.obs_cfg
+        return dataclasses.replace(
+            acc, obs_cfg=dataclasses.replace(obs, q_fn=lambda x: obs.L_d.dot(x) + 1.0))
+
+    monkeypatch.setitem(scenarios.BUILDERS, "shifted", shifted)
+    assert cli.main([command, "--scenario", "shifted", "--t-end", "0.1",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    _one_error_line(capsys, "fast_loop (the float kernel) needs a constant L_d and q = L_d x")
     assert not (tmp_path / "out").exists()

@@ -17,10 +17,10 @@ from oracles import augmented_rhs, column, disturbance_estimate, finite_diff_gra
 BOUNDS = DisturbanceBounds(k0=2.0, k1=0.0)
 
 
-def make_cfg(beta=1.0, mu1=1.0, e0=2.0, bounds=BOUNDS, L_d=None):
+def make_cfg(beta=1.0, mu1=1.0, bounds=BOUNDS, L_d=None):
     if L_d is None:
         L_d = np.array([[0.0, 1.0, 0.0]])
-    return ObserverConfig(beta=beta, L_d=L_d, mu1=mu1, e_d0_bound=e0, bounds=bounds)
+    return ObserverConfig(beta=beta, L_d=L_d, mu1=mu1, bounds=bounds)
 
 
 def _logged_estimate(scenario, cfg, x, r):
@@ -33,8 +33,7 @@ def _logged_estimate(scenario, cfg, x, r):
 
 
 def test_estimate_identity_potential(acc_scenario):
-    cfg = ObserverConfig(beta=1.0, L_d=np.array([[1.0, 0.0, 0.0]]), mu1=1.0,
-                         e_d0_bound=0.0, bounds=BOUNDS)
+    cfg = ObserverConfig(beta=1.0, L_d=np.array([[1.0, 0.0, 0.0]]), mu1=1.0, bounds=BOUNDS)
     x = np.array([3.0, -1.0, 5.0])
     assert _logged_estimate(acc_scenario, cfg, x, np.zeros(1)) == pytest.approx(3.0)
 
@@ -59,8 +58,7 @@ def test_observer_rhs_kernel_case():
     # the augmented-rhs oracle: F = -ell d_hat for d_hat = 1.5 leaves r at rest
     model = SystemModel(n=3, m=1, p=1, F=lambda x, u: (0.0, -1.5, 0.0),
                         ell=lambda x: np.array([[0.0], [1.0], [0.0]]))
-    cfg0 = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0,
-                          e_d0_bound=0.0, bounds=BOUNDS,
+    cfg0 = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0, bounds=BOUNDS,
                           q_fn=lambda x: np.zeros(1))
     out = augmented_rhs(model, cfg0, [0.0])(0.0, np.array([0.0, 0.0, 0.0, 0.0, 1.5]))
     assert np.allclose(out[4:], 0.0, atol=1e-15)
@@ -73,8 +71,6 @@ def test_observer_rejects_bad_gains():
         make_cfg(mu1=0.0)
     with pytest.raises(ConfigurationError):
         make_cfg(beta=1.0, mu1=2.0)  # mu1 must be < 2 beta
-    with pytest.raises(ConfigurationError):
-        make_cfg(e0=-1.0)
 
 
 def test_observer_rhs_acc_substitution(acc_scenario):
@@ -104,17 +100,17 @@ def test_vector_kernel_step_matches_augmented_rhs_oracle(name):
                              bounds=DisturbanceBounds(1.5, 3.0))
     else:
         scenario = build_bicycle()
+    state_gain = {}
     if name == "acc-state-gain":
         # ell(x) = (0, g(x1), 0)^T and a state-map gain L_d = ell^T = dq/dx,
         # so each RK4 stage reads both at its own state
-        scenario = dataclasses.replace(
-            scenario,
+        state_gain = dict(
             model=dataclasses.replace(
                 scenario.model, ell=lambda x: np.array([[0.0], [_state_gain(x)], [0.0]])),
             obs_cfg=dataclasses.replace(
                 scenario.obs_cfg, L_d=lambda x: np.array([[0.0, _state_gain(x), 0.0]]),
                 q_fn=lambda x: np.array([1.5 * x[1] - 0.5 * math.cos(x[1])])))
-    scenario = dataclasses.replace(scenario, fast_loop=False)
+    scenario = dataclasses.replace(scenario, fast_loop=False, **state_gain)
     model, cfg = scenario.model, scenario.obs_cfg
     n, m = model.n, model.m
     dt = 1e-2
@@ -132,7 +128,7 @@ def test_vector_kernel_step_matches_augmented_rhs_oracle(name):
 
 
 def test_envelope_at_zero_and_infinity():
-    cfg = make_cfg(e0=2.0, bounds=DisturbanceBounds(2.0, 0.4))
+    cfg = make_cfg(bounds=DisturbanceBounds(2.0, 0.4))
     assert error_envelope(cfg, 0.0) == pytest.approx(2.0, abs=1e-15)
     lam = cfg.lam
     asymptote = 0.4 / math.sqrt(2.0 * cfg.mu1 * lam)
@@ -142,7 +138,7 @@ def test_envelope_at_zero_and_infinity():
 
 
 def test_envelope_pure_decay_when_k1_zero():
-    cfg = make_cfg(e0=3.0)
+    cfg = make_cfg(bounds=DisturbanceBounds(3.0, 0.0))
     lam = cfg.lam
     for t in np.linspace(0.0, 20.0, 10):
         assert error_envelope(cfg, t) == pytest.approx(3.0 * math.exp(-lam * t), rel=1e-12)
@@ -151,11 +147,11 @@ def test_envelope_pure_decay_when_k1_zero():
 def test_envelope_monotone_both_directions():
     grid = np.linspace(0.0, 30.0, 400)
     # E0 above the asymptote: nonincreasing
-    hi = make_cfg(e0=5.0, bounds=DisturbanceBounds(5.0, 0.5))
+    hi = make_cfg(bounds=DisturbanceBounds(5.0, 0.5))
     vals = [error_envelope(hi, t) for t in grid]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     # E0 below the asymptote: nondecreasing
-    lo = make_cfg(e0=0.1, bounds=DisturbanceBounds(5.0, 3.0))
+    lo = make_cfg(bounds=DisturbanceBounds(0.1, 3.0))
     vals = [error_envelope(lo, t) for t in grid]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -191,7 +187,7 @@ def test_margin_acc_row_matches_generic_path(acc_scenario):
 
 
 def test_margin_zero_for_perfect_constant_estimate():
-    cfg = make_cfg(e0=0.0, bounds=DisturbanceBounds(2.0, 0.0))
+    cfg = make_cfg(bounds=DisturbanceBounds(0.0, 0.0))
     assert error_envelope(cfg, 0.0) == 0.0
     model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (0.0,),
                         ell=lambda x: np.ones((1, 1)))
@@ -231,7 +227,7 @@ def test_margin_is_the_two_norm_of_the_channel():
 
 def test_margin_nonnegative_random():
     rng = SplitMix64(99)
-    cfg = make_cfg(e0=1.0, bounds=DisturbanceBounds(1.0, 0.3))
+    cfg = make_cfg(bounds=DisturbanceBounds(1.0, 0.3))
     model = SystemModel(n=3, m=1, p=1, F=lambda x, u: (0.0, 0.0, 0.0),
                         ell=lambda x: np.array([[0.0], [1.0], [0.0]]))
     for _ in range(200):
@@ -259,8 +255,7 @@ def test_gain_condition_check_warns_on_failure(caplog, acc_scenario):
         margin = check_gain_condition(good, model, samples)
     assert margin >= -1e-9
     assert not caplog.records
-    bad = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 0.1, 0.0]]), mu1=1.0,
-                         e_d0_bound=2.0, bounds=BOUNDS)
+    bad = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 0.1, 0.0]]), mu1=1.0, bounds=BOUNDS)
     with caplog.at_level(logging.WARNING):
         margin = check_gain_condition(bad, model, samples)
     assert margin < 0.0
@@ -280,7 +275,7 @@ def test_a_state_map_gain_needs_its_potential():
     gain = lambda x: np.array([[0.0, 1.0, 0.0]])
     with pytest.raises(ConfigurationError, match="q_fn is required"):
         make_cfg(L_d=gain)
-    cfg = ObserverConfig(beta=1.0, L_d=gain, mu1=1.0, e_d0_bound=2.0, bounds=BOUNDS,
+    cfg = ObserverConfig(beta=1.0, L_d=gain, mu1=1.0, bounds=BOUNDS,
                          q_fn=lambda x: gain(x) @ x)
     assert np.array_equal(cfg.gain_at(np.zeros(3)), gain(None))
 

@@ -97,7 +97,7 @@ def _static_scenario():
     model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (0.0,),
                         ell=lambda x: np.zeros((1, 1)))
     obs = ObserverConfig(beta=1.0, L_d=np.zeros((1, 1)), mu1=1.0,
-                         e_d0_bound=0.0, bounds=DisturbanceBounds(0.0, 0.0))
+                         bounds=DisturbanceBounds(0.0, 0.0))
     return Scenario(
         name="static", model=model, law=ZeroRate(), obs_cfg=obs,
         x0=np.array([0.5]), u0=np.zeros(1),
@@ -180,7 +180,7 @@ def test_start_stacks_x0_u0_and_a_zero_estimate():
     for _ in range(100):
         n, m, p = rng.integer(1, 4), rng.integer(1, 3), rng.integer(1, 2)
         x, u = ([rng.uniform(-9, 9) for _ in range(k)] for k in (n, m))
-        obs = ObserverConfig(beta=rng.uniform(0.5, 2.0), mu1=0.5, e_d0_bound=0.0,
+        obs = ObserverConfig(beta=rng.uniform(0.5, 2.0), mu1=0.5,
                              L_d=[[rng.uniform(-9, 9) for _ in range(n)] for _ in range(p)],
                              bounds=DisturbanceBounds(0.0, 0.0))
         model = SystemModel(n=n, m=m, p=p, F=lambda x, u: 0.0 * x,
@@ -209,6 +209,14 @@ def test_scenario_boxes_must_match_model_dimensions(role):
     # into each log row, or have check scan two-state points
     with pytest.raises(ConfigurationError, match=f"{role} has state bounds of shape \\(2,\\)"):
         dataclasses.replace(build_example1(), **{role: WIDE})
+
+
+def test_a_start_outside_the_safe_set_is_refused_where_the_scenario_is_made():
+    # dataclasses.replace makes the scenario anew, so it is checked as a
+    # builder's is: x = 5 is past example1's wall x <= 4
+    with pytest.raises(ConfigurationError,
+                       match=r"^initial state is outside the safe set: \{'h_x': -1\.0\}"):
+        dataclasses.replace(build_example1(), x0=[5.0])
 
 
 def test_checked_box_must_match_model_dimensions():
@@ -245,8 +253,7 @@ def _wall_scenario():
         BarrierSpec(h=None, gamma=linear_rate(k2), label="b2",
                     grad_x=lambda x, u: (-k1 * k0, -k0 - k1), grad_u=lambda x, u: (-1.0,)),
     ))
-    obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, e_d0_bound=0.2,
-                         bounds=DisturbanceBounds(0.2, 0.2))
+    obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, bounds=DisturbanceBounds(0.2, 0.2))
     return Scenario(
         name="wall", model=model, law=ZeroRate(), obs_cfg=obs,
         x0=np.array([0.5, 0.2]), u0=np.array([0.2]),
@@ -285,7 +292,8 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
 def test_float_kernel_needs_the_default_potential():
     # q = L_d x + 1 starts r at -beta (L_d x0 + 1): the vector kernel reads
     # the estimate r + beta q(x0) = 0, where the float kernel, summing L_d x
-    # itself, would read -beta; nor may a potential be left from another L_d
+    # itself, would read -beta; nor may a potential be left from another L_d.
+    # Either is refused where the fast_loop scenario is made.
     acc = build_acc()
     obs = acc.obs_cfg
     cfg = SimConfig(dt=1e-3, t_end=0.01)
@@ -293,7 +301,7 @@ def test_float_kernel_needs_the_default_potential():
     stale = dataclasses.replace(obs, L_d=2.0 * obs.L_d)
     for custom in (shifted, stale):
         with pytest.raises(ConfigurationError, match="q = L_d x"):
-            run_closed_loop(dataclasses.replace(acc, obs_cfg=custom), cfg)
+            dataclasses.replace(acc, obs_cfg=custom)
     vector = dataclasses.replace(acc, obs_cfg=shifted, fast_loop=False)
     assert column(run_closed_loop(vector, cfg), "dhat0")[0] == 0.0
     z0 = vector.start()
@@ -362,12 +370,19 @@ def _two_input_scenario(seed: int) -> Scenario:
 
     barriers = (plain("a", (-1.0, -rng.uniform(0.2, 0.6)), (-0.1, 0.0)),
                 plain("b", (rng.uniform(0.2, 0.6), -1.0), (0.0, -0.1)))
-    obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, e_d0_bound=0.2,
-                         bounds=DisturbanceBounds(0.2, 0.2))
+    obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, bounds=DisturbanceBounds(0.2, 0.2))
     return Scenario(name="two-input", model=model, law=_ConstantRate([1.0, 1.0]), obs_cfg=obs,
                     x0=np.zeros(2), u0=np.zeros(2),
                     domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-10.0, -10.0), (10.0, 10.0)),
                     barriers=barriers)
+
+
+def test_a_scenario_the_float_kernel_cannot_run_is_refused_where_it_is_made():
+    # fast_loop is checked when the scenario is made, so an m = 2 plant does
+    # not get as far as a run (for a potential other than q = L_d x, see
+    # test_float_kernel_needs_the_default_potential)
+    with pytest.raises(ConfigurationError, match=r"^fast_loop .* needs m = p = 1$"):
+        dataclasses.replace(_two_input_scenario(20231021), fast_loop=True)
 
 
 def test_two_input_loop_solves_each_step_as_the_active_set_oracle():
@@ -421,7 +436,7 @@ def _two_channel_scenario(seed: int, state_gain: bool) -> Scenario:
                     q_fn=lambda x: np.array([x[0], 1.5 * x[1] - 0.5 * math.cos(x[1])]))
     else:
         gain = dict(L_d=np.diag([1.0, 2.0]))
-    obs = ObserverConfig(beta=2.0, mu1=1.0, e_d0_bound=k0, bounds=DisturbanceBounds(k0, k1),
+    obs = ObserverConfig(beta=2.0, mu1=1.0, bounds=DisturbanceBounds(k0, k1),
                          **gain)
     return Scenario(name="two-channel", model=model, law=_ConstantRate([1.0]), obs_cfg=obs,
                     x0=np.array([0.5, -0.5]), u0=np.zeros(1),

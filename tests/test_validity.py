@@ -47,8 +47,8 @@ def _partly_free_chain() -> BarrierChain:
 
 
 def _observer(e0: float, k1: float) -> ObserverConfig:
-    return ObserverConfig(beta=1.0, L_d=np.array([[1.0, 0.0]]), mu1=1.0, e_d0_bound=e0,
-                          bounds=DisturbanceBounds(2.0, k1))
+    return ObserverConfig(beta=1.0, L_d=np.array([[1.0, 0.0]]), mu1=1.0,
+                          bounds=DisturbanceBounds(e0, k1))
 
 
 def _scalar_grad_example1():
