@@ -4,7 +4,8 @@ The observer estimates the additive disturbance of xdot = F(x,u) + ell(x) d as
 
     d_hat = r + beta * q(x),      rdot = -beta * L_d(x) (F(x,u) + ell(x) d_hat)
 
-with a gain map L_d (p x n) and a potential q with dq/dx = L_d. Under known
+with a gain map L_d (p x n) and a potential q with dq/dx = L_d: q(x) = L_d x
+for a constant gain, the given q_fn for a state map. Under known
 bounds ||d|| <= k0, ||ddot|| <= k1 the estimation error e_d = d_hat - d obeys
 
     ||e_d(t)||^2 <= E0^2 exp(-2 lam t) + k1^2 (1 - exp(-2 lam t)) / (2 mu1 lam)
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,33 +31,27 @@ from .model import Array, DisturbanceBounds, SystemModel
 log = logging.getLogger(__name__)
 
 
-class LinearPotential:
-    """The default potential q(x) = L_d x of a constant gain matrix, which
-    holds that matrix, so that the float kernel can tell it from any other."""
-
-    def __init__(self, matrix: Array):
-        self.matrix = matrix
-
-    def __call__(self, x: Array) -> Array:
-        return self.matrix.dot(x)
-
-
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer gains plus the constants of the error envelope.
 
-    L_d may be a constant p x n matrix or a state map; for a constant matrix
-    the potential defaults to q(x) = L_d x (the unique potential with
-    dq/dx = L_d up to a constant absorbed into r(0)), a LinearPotential.
-    The envelope's E0 is bounds.k0, not a setting: a run starts the observer
-    from d_hat(0) = 0, so its initial error is ||d(0)|| <= k0.
+    L_d may be a constant p x n matrix or a state map. A constant gain's
+    potential is q(x) = L_d x: any q with dq/dx = L_d differs from it by a
+    constant, which r(0) = -beta q(x0) cancels. A state map needs its q_fn,
+    and q_fn is refused with a constant L_d. gain_at and q are derived when
+    the config is made, dataclasses.replace too, so no copy keeps the
+    potential of another gain. The envelope's E0 is bounds.k0, not a setting:
+    a run starts the observer from d_hat(0) = 0, so its initial error is
+    ||d(0)|| <= k0.
     """
 
     beta: float
     L_d: Union[Array, Callable[[Array], Array]]
     mu1: float
     bounds: DisturbanceBounds
-    q_fn: Callable[[Array], Array] = None  # type: ignore[assignment]
+    q_fn: Optional[Callable[[Array], Array]] = None
+    gain_at: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
+    q: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -66,22 +61,23 @@ class ObserverConfig:
                 f"mu1 must satisfy 0 < mu1 < 2*beta, got mu1={self.mu1}, beta={self.beta}"
             )
         if callable(self.L_d):
-            object.__setattr__(self, "_ld_fn", self.L_d)
             if self.q_fn is None:
                 raise ConfigurationError("q_fn is required when L_d is a state map")
+            gain_at, q = self.L_d, self.q_fn
         else:
+            if self.q_fn is not None:
+                raise ConfigurationError(
+                    "q_fn is given only with a state-map L_d; the potential of a "
+                    "constant L_d is L_d x")
             mat = np.asarray(self.L_d, dtype=float)
             object.__setattr__(self, "L_d", mat)
-            object.__setattr__(self, "_ld_fn", lambda x, _mat=mat: _mat)
-            if self.q_fn is None:
-                object.__setattr__(self, "q_fn", LinearPotential(mat))
+            gain_at, q = (lambda x: mat), mat.dot
+        object.__setattr__(self, "gain_at", gain_at)
+        object.__setattr__(self, "q", q)
 
     @property
     def lam(self) -> float:
         return self.beta - 0.5 * self.mu1
-
-    def gain_at(self, x: Array) -> Array:
-        return self._ld_fn(x)  # type: ignore[attr-defined]
 
 
 def error_envelope(cfg: ObserverConfig, t: float) -> float:

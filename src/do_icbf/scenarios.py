@@ -156,7 +156,6 @@ def build_acc(*,
                           u_low=(-force_limit,), u_high=(force_limit,))
 
     return Scenario(
-        name="acc",
         model=model,
         law=law,
         obs_cfg=obs_cfg,
@@ -290,7 +289,6 @@ def build_bicycle(*,
         return law.cross_track(float(last[col("x0")]), float(last[col("x1")]))
 
     return Scenario(
-        name="bicycle",
         model=model,
         law=law,
         obs_cfg=obs_cfg,
@@ -339,7 +337,6 @@ def build_example1(*, x0=(0.0,), u0=(0.0,)) -> Scenario:
     check_box = DomainBox(x_low=(0.0,), x_high=(4.0,), u_low=(-1.0,), u_high=(1.0,))
 
     return Scenario(
-        name="example1",
         model=model,
         law=ZeroRate(),
         obs_cfg=obs_cfg,

@@ -36,7 +36,7 @@ from .barriers import BarrierChain, BarrierSpec, DomainBox, require_values
 from .errors import BlowupError, ConfigurationError
 from .filter import build_constraints, solve_1d, solve_multi
 from .model import Array, SystemModel, _as_vector
-from .observer import LinearPotential, ObserverConfig, error_envelope
+from .observer import ObserverConfig, error_envelope
 
 FILTER_MODES = ("off", "icbf", "do_icbf", "high_order")
 # A run's packed log rows go to its spool file through a write buffer of this
@@ -77,11 +77,11 @@ class Scenario:
     A run starts from the plant state x0 (n values) and the input u0 (m
     values). The observer starts from a zero estimate, d_hat(0) = 0 (see
     start), so its initial error is at most k0, the envelope's E0.
-    Construction, dataclasses.replace too, checks that the start lies in
-    every protected set (barrier values at phi = 0, d_hat = 0 and E(0)) and,
-    with fast_loop, the float kernel's checkable preconditions."""
+    Construction, dataclasses.replace too, checks that q(x0) and d_true(0)
+    have p entries, that the start lies in every protected set (barrier
+    values at phi = 0, d_hat = 0 and E(0)) and, with fast_loop, the float
+    kernel's checkable preconditions: m = p = 1 and a constant L_d."""
 
-    name: str
     model: SystemModel
     law: object  # nominal law with rate(t, x, u, dt) -> udot; each run takes a deep copy
     obs_cfg: ObserverConfig
@@ -97,16 +97,17 @@ class Scenario:
     tracking_fn: Optional[Callable[["TrajectoryLog"], float]] = None
     check_box: Optional[DomainBox] = None
     check_resolution: object = 5
-    # Opt-in float step kernel: m = p = 1 and the default potential q = L_d x
-    # (both checked), a constant disturbance channel and barrier callables
-    # that accept plain sequences. The builders in scenarios.py qualify;
-    # custom scenarios keep the vector kernel unless they opt in.
+    # Opt-in float step kernel: m = p = 1 and a constant L_d, whose potential
+    # is q = L_d x (both checked), a constant disturbance channel and barrier
+    # callables that accept plain sequences. The builders in scenarios.py
+    # qualify; custom scenarios keep the vector kernel unless they opt in.
     fast_loop: bool = False
 
     def __post_init__(self):
         self.x0 = _as_vector(self.x0, self.model.n, "x0")
         self.u0 = _as_vector(self.u0, self.model.m, "u0")
         self.start()  # q(x0) must have p entries
+        _as_vector(self.model.d_true(0.0), self.model.p, "d_true(0)")
         for role, box in (("domain", self.domain), ("check_box", self.check_box or self.domain)):
             box.require_dims(self.model.n, self.model.m, role)
         require_values(self.barriers, "plain barrier")
@@ -118,10 +119,8 @@ class Scenario:
         if self.fast_loop:
             if model.m != 1 or model.p != 1:
                 raise ConfigurationError("fast_loop (the float kernel) needs m = p = 1")
-            if not (isinstance(obs.q_fn, LinearPotential)
-                    and np.array_equal(obs.q_fn.matrix, obs.L_d)):
-                raise ConfigurationError(
-                    "fast_loop (the float kernel) needs a constant L_d and q = L_d x")
+            if callable(obs.L_d):
+                raise ConfigurationError("fast_loop (the float kernel) needs a constant L_d")
         _, values, _ = build_constraints(
             model, self.barriers, self.chain, np.zeros(model.m), self.x0, self.u0,
             np.zeros(model.p), error_envelope(obs, 0.0))
@@ -135,7 +134,7 @@ class Scenario:
         """The augmented start state z0 = (x0, u0, r0) with r0 = -beta q(x0),
         so that the observer's estimate d_hat(0) = r0 + beta q(x0) is zero."""
         obs = self.obs_cfg
-        q0 = _as_vector(obs.q_fn(self.x0), self.model.p, "q_fn(x0)")
+        q0 = _as_vector(obs.q(self.x0), self.model.p, "q(x0)")
         return np.concatenate((self.x0, self.u0, -obs.beta * q0))
 
     @property
@@ -334,7 +333,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     n, m, p = model.n, model.m, model.p
     obs = scenario.obs_cfg
     beta = obs.beta
-    q_fn = obs.q_fn
+    q = obs.q
     gain_at = obs.gain_at
     F = model.F
     ell = model.ell
@@ -351,7 +350,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     def decide(t, z, envelope):
         x = z[:n]
         u = z[n:n + m]
-        d_hat_obs = z[n + m:] + beta * q_fn(x)
+        d_hat_obs = z[n + m:] + beta * q(x)
         phi = np.asarray(law.rate(t, x, u, dt), dtype=float)
         constraints, values, margin = build_constraints(
             model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d,
@@ -370,7 +369,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             xx = zz[:n]
             fx = np.asarray(F(xx, zz[n:n + m]), dtype=float)
             lx = np.asarray(ell(xx))
-            d_hat = zz[n + m:] + beta * q_fn(xx)
+            d_hat = zz[n + m:] + beta * q(xx)
             return np.concatenate((fx + lx.dot(d_true(tt)), u_rate,
                                    -beta * np.asarray(gain_at(xx)).dot(fx + lx.dot(d_hat))))
 
@@ -382,8 +381,8 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
 def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     """Step kernel on plain floats, with the formulas of the vector kernel.
 
-    Checked when the Scenario is made: m = p = 1 and the default potential
-    q = L_d x of a constant gain. Vouched for by fast_loop=True and not
+    Checked when the Scenario is made: m = p = 1 and a constant gain L_d,
+    whose potential q = L_d x this kernel sums itself. Vouched for by fast_loop=True and not
     checked: a constant channel column ell, read once at x0, and barrier
     callables that accept plain sequences. The state is a list; otherwise
     as _vector_kernel, except that decide takes E(t) from the loop. Its sums

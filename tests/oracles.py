@@ -208,7 +208,7 @@ def closed_form_single(p, f):
 
 def disturbance_estimate(obs_cfg, r, x):
     """The observer's estimate d_hat = r + beta q(x)."""
-    return np.asarray(r, dtype=float) + obs_cfg.beta * np.asarray(obs_cfg.q_fn(x), dtype=float)
+    return np.asarray(r, dtype=float) + obs_cfg.beta * np.asarray(obs_cfg.q(x), dtype=float)
 
 
 def augmented_rhs(model, obs_cfg, u_rate):

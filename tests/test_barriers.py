@@ -226,14 +226,14 @@ def test_scenario_gradients_match_finite_differences(acc_scenario, bicycle_scena
     # against the values the filter evaluates: h for a plain barrier and for
     # level 0, the chain recurrence above it
     rng = SplitMix64(41)
-    for scenario in (acc_scenario, bicycle_scenario):
+    for name, scenario in (("acc", acc_scenario), ("bicycle", bicycle_scenario)):
         box = scenario.check_box
         for spec, value in level_values(scenario):
             for _ in range(100):
                 x = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.x_low, box.x_high)])
                 u = np.array([rng.uniform(lo, hi) for lo, hi in zip(box.u_low, box.u_high)])
                 err = gradient_error(spec, value, x, u)
-                assert err <= 1e-4, (scenario.name, spec.label, err)
+                assert err <= 1e-4, (name, spec.label, err)
 
 
 def test_gradient_error_is_relative_to_a_small_gradient(acc_scenario):

@@ -4,13 +4,14 @@ offered to any builder that takes d_true and bounds, and a run is named by
 its config's `scenario`. A config number is
 checked without converting it to a float, so one too large for a float is a
 config error that names its field, and so is a registered builder's box that
-does not fit its model, start outside its safe set, or fast_loop scenario
-that the float kernel cannot run."""
+does not fit its model, start outside its safe set, disturbance of the wrong
+length, or fast_loop scenario that the float kernel cannot run."""
 
 import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from do_icbf import (DomainBox, build_acc, build_bicycle, build_example1, cli, scenarios,
@@ -22,17 +23,17 @@ def panels(script):
     return re.findall(r"set ylabel '([^']*)'\nplot ((?:.*, \\\n)*.*)\n", script)
 
 
-@pytest.mark.parametrize("build,last", [
-    (lambda: dataclasses.replace(build_acc(), name="custom"), ("disturbance", ["d0", "dhat0"])),
-    (build_bicycle, ("inputs", ["u0"])),
-    (build_example1, ("inputs", ["u0"])),
+@pytest.mark.parametrize("name,build,last", [
+    ("custom", build_acc, ("disturbance", ["d0", "dhat0"])),
+    ("bicycle", build_bicycle, ("inputs", ["u0"])),
+    ("example1", build_example1, ("inputs", ["u0"])),
 ], ids=["renamed-acc", "bicycle", "example1"])
-def test_plot_script_is_read_from_the_header(build, last):
+def test_plot_script_is_read_from_the_header(name, build, last):
     scenario = build()
     log = simulate.TrajectoryLog(scenario, simulate.SimConfig())
     header = log.header
-    script = cli.plot_script(log, scenario, scenario.name)
-    assert f"set output '{scenario.name}_do_icbf.png'" in script
+    script = cli.plot_script(log, scenario, name)
+    assert f"set output '{name}_do_icbf.png'" in script
     drawn = []
     for ylabel, plot in panels(script):
         curves = re.findall(r"using (\d+):(\d+) with lines title '([^']*)'", plot)
@@ -132,15 +133,32 @@ def test_a_start_outside_the_safe_set_is_a_config_error(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_fast_loop_scenario_the_float_kernel_cannot_run_is_a_config_error(
         command, tmp_path, monkeypatch, capsys):
-    # acc takes the float kernel, which cannot run a shifted potential
-    def shifted():
+    # acc takes the float kernel, which cannot run a state-map gain
+    def state_gain():
         acc = build_acc()
         obs = acc.obs_cfg
         return dataclasses.replace(
-            acc, obs_cfg=dataclasses.replace(obs, q_fn=lambda x: obs.L_d.dot(x) + 1.0))
+            acc, obs_cfg=dataclasses.replace(obs, L_d=lambda x: obs.L_d, q_fn=obs.q))
 
-    monkeypatch.setitem(scenarios.BUILDERS, "shifted", shifted)
-    assert cli.main([command, "--scenario", "shifted", "--t-end", "0.1",
+    monkeypatch.setitem(scenarios.BUILDERS, "state-gain", state_gain)
+    assert cli.main([command, "--scenario", "state-gain", "--t-end", "0.1",
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    _one_error_line(capsys, "fast_loop (the float kernel) needs a constant L_d and q = L_d x")
+    _one_error_line(capsys, "fast_loop (the float kernel) needs a constant L_d\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_disturbance_of_the_wrong_length_is_a_config_error(
+        command, tmp_path, monkeypatch, capsys):
+    # example1 has p = 1: a two-entry d_true is refused where the scenario is
+    # made, not when the loop packs the first row
+    def short_d():
+        example1 = build_example1()
+        model = dataclasses.replace(example1.model, d_true=lambda t: np.zeros(2))
+        return dataclasses.replace(example1, model=model)
+
+    monkeypatch.setitem(scenarios.BUILDERS, "short-d", short_d)
+    assert cli.main([command, "--scenario", "short-d", "--t-end", "0.1",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    _one_error_line(capsys, "d_true(0): expected a vector of length 1")
     assert not (tmp_path / "out").exists()

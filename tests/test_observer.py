@@ -58,8 +58,7 @@ def test_observer_rhs_kernel_case():
     # the augmented-rhs oracle: F = -ell d_hat for d_hat = 1.5 leaves r at rest
     model = SystemModel(n=3, m=1, p=1, F=lambda x, u: (0.0, -1.5, 0.0),
                         ell=lambda x: np.array([[0.0], [1.0], [0.0]]))
-    cfg0 = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0, bounds=BOUNDS,
-                          q_fn=lambda x: np.zeros(1))
+    cfg0 = ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0, bounds=BOUNDS)
     out = augmented_rhs(model, cfg0, [0.0])(0.0, np.array([0.0, 0.0, 0.0, 0.0, 1.5]))
     assert np.allclose(out[4:], 0.0, atol=1e-15)
 
@@ -243,7 +242,7 @@ def test_q_fn_jacobian_matches_gain(acc_scenario, bicycle_scenario):
         for x in (np.zeros(n), np.linspace(1.0, n, n)):
             gain = cfg.gain_at(x)
             for row in range(gain.shape[0]):
-                jac = finite_diff_gradient(lambda v, r=row: float(cfg.q_fn(v)[r]), x, 1e-5)
+                jac = finite_diff_gradient(lambda v, r=row: float(cfg.q(v)[r]), x, 1e-5)
                 assert np.allclose(jac, gain[row], atol=1e-5)
 
 
@@ -278,6 +277,14 @@ def test_a_state_map_gain_needs_its_potential():
     cfg = ObserverConfig(beta=1.0, L_d=gain, mu1=1.0, bounds=BOUNDS,
                          q_fn=lambda x: gain(x) @ x)
     assert np.array_equal(cfg.gain_at(np.zeros(3)), gain(None))
+
+
+def test_a_constant_gain_takes_no_potential():
+    # any potential of a constant L_d is L_d x plus a constant, which the
+    # observer's start r(0) = -beta q(x0) cancels; so a given one is refused
+    with pytest.raises(ConfigurationError, match="potential of a constant L_d is L_d x"):
+        ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0, bounds=BOUNDS,
+                       q_fn=lambda x: np.array([x[1] + 1.0]))
 
 
 def test_envelope_sound_and_exponential_decay_along_acc(acc_scenario):

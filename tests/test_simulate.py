@@ -99,7 +99,7 @@ def _static_scenario():
     obs = ObserverConfig(beta=1.0, L_d=np.zeros((1, 1)), mu1=1.0,
                          bounds=DisturbanceBounds(0.0, 0.0))
     return Scenario(
-        name="static", model=model, law=ZeroRate(), obs_cfg=obs,
+        model=model, law=ZeroRate(), obs_cfg=obs,
         x0=np.array([0.5]), u0=np.zeros(1),
         domain=DomainBox((-1.0,), (1.0,), (-1.0,), (1.0,)),
     )
@@ -168,9 +168,24 @@ def test_initial_state_must_match_model_dimensions():
         with pytest.raises(ConfigurationError, match="^[xu]0: expected a vector of length 1"):
             dataclasses.replace(sc, x0=x, u0=u)
     # the observer starts at r = -beta q(x0), which needs p entries
-    obs = dataclasses.replace(sc.obs_cfg, q_fn=lambda x: np.zeros(2))
-    with pytest.raises(ConfigurationError, match=r"^q_fn\(x0\): expected a vector of length 1"):
+    obs = dataclasses.replace(sc.obs_cfg, L_d=lambda x: np.zeros((2, 1)),
+                              q_fn=lambda x: np.zeros(2))
+    with pytest.raises(ConfigurationError, match=r"^q\(x0\): expected a vector of length 1"):
         dataclasses.replace(sc, obs_cfg=obs)
+
+
+def test_a_disturbance_of_the_wrong_length_is_refused_where_the_scenario_is_made():
+    # the loop packs d_true(t) into each row: a given signal, or the zero
+    # default that a replaced model keeps from its old p, must have p entries
+    example1 = build_example1()
+    short_d = dataclasses.replace(example1.model, d_true=lambda t: np.zeros(2))
+    with pytest.raises(ConfigurationError, match=r"^d_true\(0\): expected a vector of length 1"):
+        dataclasses.replace(example1, model=short_d)
+    sc = _static_scenario()
+    wide = dataclasses.replace(sc.model, p=2, ell=lambda x: np.zeros((1, 2)))
+    obs = dataclasses.replace(sc.obs_cfg, L_d=np.zeros((2, 1)))
+    with pytest.raises(ConfigurationError, match=r"^d_true\(0\): expected a vector of length 2"):
+        dataclasses.replace(sc, model=wide, obs_cfg=obs)
 
 
 def test_start_stacks_x0_u0_and_a_zero_estimate():
@@ -185,12 +200,12 @@ def test_start_stacks_x0_u0_and_a_zero_estimate():
                              bounds=DisturbanceBounds(0.0, 0.0))
         model = SystemModel(n=n, m=m, p=p, F=lambda x, u: 0.0 * x,
                             ell=lambda x, shape=(n, p): np.zeros(shape))
-        sc = Scenario(name="start", model=model, law=ZeroRate(), obs_cfg=obs, x0=x, u0=u,
+        sc = Scenario(model=model, law=ZeroRate(), obs_cfg=obs, x0=x, u0=u,
                       domain=DomainBox([-9.0] * n, [9.0] * n, [-9.0] * m, [9.0] * m))
         z0 = sc.start()
         assert z0.shape == (n + m + p,)
         assert np.array_equal(z0[:n], x) and np.array_equal(z0[n:n + m], u)
-        assert np.array_equal(z0[n + m:] + obs.beta * obs.q_fn(sc.x0), np.zeros(p))
+        assert np.array_equal(z0[n + m:] + obs.beta * obs.q(sc.x0), np.zeros(p))
 
 
 WIDE = DomainBox(x_low=(-10.0, -10.0), x_high=(10.0, 10.0), u_low=(-2.0,), u_high=(2.0,))
@@ -255,7 +270,7 @@ def _wall_scenario():
     ))
     obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, bounds=DisturbanceBounds(0.2, 0.2))
     return Scenario(
-        name="wall", model=model, law=ZeroRate(), obs_cfg=obs,
+        model=model, law=ZeroRate(), obs_cfg=obs,
         x0=np.array([0.5, 0.2]), u0=np.array([0.2]),
         domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-5.0,), (5.0,)),
         chain=chain, fast_loop=True,
@@ -290,25 +305,40 @@ def test_fast_and_generic_loops_agree(mode, acc_scenario, bicycle_scenario):
 
 
 def test_float_kernel_needs_the_default_potential():
-    # q = L_d x + 1 starts r at -beta (L_d x0 + 1): the vector kernel reads
-    # the estimate r + beta q(x0) = 0, where the float kernel, summing L_d x
-    # itself, would read -beta; nor may a potential be left from another L_d.
-    # Either is refused where the fast_loop scenario is made.
+    # the float kernel sums q = L_d x itself, the potential of a constant L_d
+    # by construction: a config refuses any other potential for a constant
+    # gain, and a fast_loop scenario refuses a state-map gain where it is made
     acc = build_acc()
     obs = acc.obs_cfg
     cfg = SimConfig(dt=1e-3, t_end=0.01)
-    shifted = dataclasses.replace(obs, q_fn=lambda x: obs.L_d.dot(x) + 1.0)
-    stale = dataclasses.replace(obs, L_d=2.0 * obs.L_d)
-    for custom in (shifted, stale):
-        with pytest.raises(ConfigurationError, match="q = L_d x"):
-            dataclasses.replace(acc, obs_cfg=custom)
-    vector = dataclasses.replace(acc, obs_cfg=shifted, fast_loop=False)
-    assert column(run_closed_loop(vector, cfg), "dhat0")[0] == 0.0
-    z0 = vector.start()
-    assert z0[-1] + obs.beta * obs.L_d.dot(z0[:3])[0] == -obs.beta
+    with pytest.raises(ConfigurationError, match="potential of a constant L_d is L_d x"):
+        dataclasses.replace(obs, q_fn=lambda x: obs.L_d.dot(x) + 1.0)
+    state_gain = dataclasses.replace(obs, L_d=lambda x: obs.L_d, q_fn=obs.q)
+    with pytest.raises(ConfigurationError, match=r"^fast_loop .* needs a constant L_d$"):
+        dataclasses.replace(acc, obs_cfg=state_gain)
+    # the vector kernel runs the same gain as a state map, bit for bit
+    vector = dataclasses.replace(acc, fast_loop=False)
+    log = run_closed_loop(dataclasses.replace(vector, obs_cfg=state_gain), cfg)
+    assert column(log, "dhat0")[0] == 0.0
+    assert np.array_equal(log.rows, run_closed_loop(vector, cfg).rows)
     # the default potential of the config's own L_d runs, however it was copied
     log = run_closed_loop(dataclasses.replace(acc, obs_cfg=dataclasses.replace(obs)), cfg)
     assert log.halt_reason == "completed"
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["float", "vector"])
+def test_a_copied_config_derives_the_potential_of_its_own_gain(fast):
+    # a copy with another constant gain gets that gain's potential, so the
+    # estimate converges and stays inside its envelope on both kernels
+    acc = dataclasses.replace(build_acc(), fast_loop=fast)
+    obs = acc.obs_cfg
+    doubled = dataclasses.replace(obs, L_d=2.0 * obs.L_d)
+    log = run_closed_loop(dataclasses.replace(acc, obs_cfg=doubled), SimConfig(dt=1e-3, t_end=3.0))
+    assert log.halt_reason == "completed"
+    assert summarize(log)["envelope_violation_max"] <= 0.0
+    x = np.array([1.0, -2.5, 3.25])
+    assert np.array_equal(doubled.q(x), (2.0 * obs.L_d).dot(x))
+    assert np.array_equal(doubled.gain_at(x), 2.0 * obs.L_d)
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["float", "vector"])
@@ -371,7 +401,7 @@ def _two_input_scenario(seed: int) -> Scenario:
     barriers = (plain("a", (-1.0, -rng.uniform(0.2, 0.6)), (-0.1, 0.0)),
                 plain("b", (rng.uniform(0.2, 0.6), -1.0), (0.0, -0.1)))
     obs = ObserverConfig(beta=1.0, L_d=ell.T, mu1=1.0, bounds=DisturbanceBounds(0.2, 0.2))
-    return Scenario(name="two-input", model=model, law=_ConstantRate([1.0, 1.0]), obs_cfg=obs,
+    return Scenario(model=model, law=_ConstantRate([1.0, 1.0]), obs_cfg=obs,
                     x0=np.zeros(2), u0=np.zeros(2),
                     domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-10.0, -10.0), (10.0, 10.0)),
                     barriers=barriers)
@@ -438,7 +468,7 @@ def _two_channel_scenario(seed: int, state_gain: bool) -> Scenario:
         gain = dict(L_d=np.diag([1.0, 2.0]))
     obs = ObserverConfig(beta=2.0, mu1=1.0, bounds=DisturbanceBounds(k0, k1),
                          **gain)
-    return Scenario(name="two-channel", model=model, law=_ConstantRate([1.0]), obs_cfg=obs,
+    return Scenario(model=model, law=_ConstantRate([1.0]), obs_cfg=obs,
                     x0=np.array([0.5, -0.5]), u0=np.zeros(1),
                     domain=DomainBox((-10.0, -10.0), (10.0, 10.0), (-10.0,), (10.0,)),
                     barriers=(barrier,))
