@@ -6,10 +6,10 @@
 
 Exit codes partition the outcomes: 0 clean finish, 1 unusable arguments,
 config or I/O failure, 2 filter infeasibility, 3 numerical blow-up, 4 validity
-counterexamples found, 5 an error raised during a run or a dead forked child;
-each failure is a "do-icbf: error:" line on stderr. Config files are JSON
-with a versioned top-level "schema": 1 field; command-line flags override
-config values. The default output directory comes from --out, else
+counterexamples found, 5 an error raised during a run or a check, or a dead
+forked child; each failure is a "do-icbf: error:" line on stderr. Config files
+are JSON with a versioned top-level "schema": 1 field; command-line flags
+override config values. The default output directory comes from --out, else
 $DO_ICBF_OUT, else ./do-icbf-out.
 """
 
@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .filter import ValidityReport, check_validity
+from .filter import ValidityReport, _grid_axes, check_validity
 from .model import DisturbanceBounds
 from .scenarios import BUILDERS, build_scenario, constant_disturbance, sinusoid_disturbance
 from .simulate import FILTER_MODES, SimConfig, run_closed_loop, summarize
@@ -200,22 +200,17 @@ def _check_plan(cfg: dict, scenario) -> tuple:
     specs = [b for b in scenario.barriers if b.label in wanted]
     targets += [specs] if specs else []
     box = scenario.check_box or scenario.domain
-    dims = len(box.x_low) + len(box.u_low)
     resolution = check.get("resolution", scenario.check_resolution)
-    if not (_grid_count(resolution) or isinstance(resolution, list)
-            and len(resolution) == dims and all(map(_grid_count, resolution))):
-        raise ConfigurationError(f"check.resolution must be an int >= 2 or a list of {dims} "
-                                 f"such ints, got {resolution!r}")
+    try:
+        _grid_axes(box, resolution)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"check.{exc}") from None
     times = check.get("times")
     if times is not None and not (isinstance(times, list) and times and all(
             type(t) in (int, float) and 0 <= t <= sys.float_info.max for t in times)):
         raise ConfigurationError(f"check.times must be a non-empty list of finite numbers "
                                  f">= 0, got {times!r}")
     return targets, box, resolution, times
-
-
-def _grid_count(r) -> bool:
-    return type(r) is int and r >= 2  # a JSON true is no count
 
 
 def _config_echo(cfg: dict, sim: SimConfig) -> dict:
@@ -356,7 +351,7 @@ def cmd_check(scenario, targets: list, box, resolution, times, out: Path) -> int
     report of the whole grid."""
     phi_zero = lambda x, u: (0.0,) * scenario.model.m
     nx = len(box.x_low)
-    counts = [resolution] * (nx + len(box.u_low)) if isinstance(resolution, int) else resolution
+    counts = [len(axis) for axis in _grid_axes(box, resolution)]
     parts = max(1, min(len(os.sched_getaffinity(0)), math.prod(counts[:nx]),
                        math.prod(counts) // CHECK_POINTS_PER_PROCESS))
 
@@ -451,15 +446,16 @@ def main(argv=None) -> int:
         out = _outdir(cfg)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
-    # After prepare, an unwritable output exits 1 and a dead forked child 5;
-    # _run_tasks raises either only once every child is joined.
+    # After prepare, an unwritable output exits 1, and a dead forked child or an
+    # error no run halts on (before step 0, or in check) 5; _run_tasks raises
+    # any of them only once every child is joined.
     try:
         if args.command == "check":
             return cmd_check(scenario, *plan, out)
         return cmd_simulate(args.command, cfg, scenario, plan, out)
     except OSError as exc:
         return _fail(str(exc))
-    except ChildDiedError as exc:
+    except (ChildDiedError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc), EXIT_ERROR)
 
 

@@ -262,18 +262,16 @@ class ValidityReport:
 
 
 def _grid_axes(box: DomainBox, resolution) -> list:
+    """The grid axes; resolution is an int >= 2 (no bool) or a list of one per axis."""
     dims = box.x_low.shape[0] + box.u_low.shape[0]
-    if isinstance(resolution, int):
-        resolution = [resolution] * dims
-    if len(resolution) != dims:
-        raise ConfigurationError(
-            f"resolution: expected {dims} per-axis counts or a single int, got {resolution}"
-        )
-    if any(r < 2 for r in resolution):
-        raise ConfigurationError("grid resolution must be >= 2 per axis")
+    counts = [resolution] * dims if type(resolution) is int else resolution
+    if not (isinstance(counts, list) and len(counts) == dims
+            and all(type(r) is int and r >= 2 for r in counts)):
+        raise ConfigurationError(f"resolution must be an int >= 2 or a list of {dims} such "
+                                 f"ints, got {resolution!r}")
     lows = np.concatenate([box.x_low, box.u_low])
     highs = np.concatenate([box.x_high, box.u_high])
-    return [np.linspace(lows[i], highs[i], resolution[i]) for i in range(dims)]
+    return [np.linspace(lows[i], highs[i], counts[i]) for i in range(dims)]
 
 
 def _input_free(grad_u: Callable, x: Array, u: Array) -> bool:

@@ -32,7 +32,7 @@ class SystemModel:
     """Controlled plant xdot = F(x,u) + ell(x) d.
 
     F and ell must evaluate on any finite point of the scenario's domain box;
-    d_true is the simulation-only ground-truth disturbance signal.
+    d_true is the simulation-only ground-truth disturbance signal, zero if none is given.
     """
 
     n: int
@@ -43,9 +43,10 @@ class SystemModel:
     d_true: Callable[[float], Array] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.d_true is None:
-            zero = np.zeros(self.p)
+        if self.d_true is None or getattr(self.d_true, "zero_default", False):
+            zero = np.zeros(self.p)  # derived again in every copy, which may change p
             object.__setattr__(self, "d_true", lambda t: zero)
+            self.d_true.zero_default = True
 
 
 def linear_rate(slope: float) -> Callable[[float], float]:

@@ -155,8 +155,8 @@ class TrajectoryLog:
     """Time-indexed record of one run; column layout is fixed by the header.
     `rows` is a (rows, columns) float64 array, one row per logged step: a
     read-only memmap of `spool`, the unnamed temporary file the loop writes
-    every row to through one buffer of LOG_CHUNK_BYTES. An empty log keeps
-    its (0, columns) array, since an empty file cannot be mapped. close()
+    every row to through one buffer of LOG_CHUNK_BYTES; run_closed_loop
+    maps it once the loop ends, and no log it returns is empty. close()
     closes the spool; `rows` stays readable, but write_csv needs the spool.
     `fold` holds what run_closed_loop folds over every step it decides,
     logged or not, keyed as summarize reports it."""
@@ -175,7 +175,6 @@ class TrajectoryLog:
             + [f"slack_{lab}" for lab in scenario.constraint_labels]
             + ["c_margin", "infeasible"]
         )
-        self.rows = np.empty((0, len(self.header)))
         self.spool = None
         self.halt_reason = "completed"
         self.halt_message = ""
@@ -221,11 +220,12 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     """Integrate the augmented loop and log every log_stride-th step, the
     last decided step and any infeasible one.
 
-    Halts early, with the reason recorded, on filter infeasibility, numerical
-    blow-up or any other ValueError/ArithmeticError raised during a step
-    ("error", with the message in halt_message). Identical scenario + config
-    always produce an identical log: there is no randomness and no shared
-    state between runs.
+    After step 0 is decided, a run halts early with its partial log, on
+    either kernel, on filter infeasibility, a non-finite state ("blowup") or
+    any other ValueError/ArithmeticError ("error", message in halt_message);
+    before it, such an error propagates, so no log returned is empty. The
+    same scenario + config always gives the same log: no randomness, no
+    state shared between runs.
 
     The loop owns the time grid, the domain-exit flag, the log rows, the
     safety fold and the halts. A step kernel supplies each step: decide(t,
@@ -306,6 +306,9 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
     except BlowupError:
         log.halt_reason = "blowup"
     except (ValueError, ArithmeticError) as exc:
+        if math.isnan(t_last):  # no step decided, so no row to halt on
+            spool.close()
+            raise
         log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"
     except BaseException:
         spool.close()
@@ -315,8 +318,7 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
                    margin, 0.0))
     spool.flush()
     log.spool = spool
-    if spool.tell():  # an empty file cannot be mapped
-        log.rows = np.memmap(spool, dtype=np.float64, mode="r").reshape(-1, width)
+    log.rows = np.memmap(spool, dtype=np.float64, mode="r").reshape(-1, width)
     log.fold = {"barrier_min": dict(zip(labels, mins)), "envelope_violation_max": excess,
                 "correction_effort": float(v_sq * dt), "left_domain_box": left_domain,
                 "t_final": t_last, "e_d0_true": e_d0, "e_d0_bound": float(obs.bounds.k0)}
@@ -351,7 +353,7 @@ def _vector_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
         x = z[:n]
         u = z[n:n + m]
         d_hat_obs = z[n + m:] + beta * q(x)
-        phi = np.asarray(law.rate(t, x, u, dt), dtype=float)
+        phi = _as_vector(law.rate(t, x, u, dt), m, "rate")
         constraints, values, margin = build_constraints(
             model, barriers, chain, phi, x, u, d_hat_obs if margins else zero_d,
             envelope if margins else 0.0)
@@ -385,9 +387,10 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     whose potential q = L_d x this kernel sums itself. Vouched for by fast_loop=True and not
     checked: a constant channel column ell, read once at x0, and barrier
     callables that accept plain sequences. The state is a list; otherwise
-    as _vector_kernel, except that decide takes E(t) from the loop. Its sums
-    and RK4 combination round differently from numpy's, so the two kernels
-    agree to ~1e-12, not bit for bit, and tests pin each one separately.
+    as _vector_kernel, down to the one rate read from the law and what F or
+    d_true raise. Its sums and RK4 combination round differently from
+    numpy's, so the two kernels agree to ~1e-12, not bit for bit, and tests
+    pin each one separately.
     """
     model = scenario.model
     n = model.n
@@ -436,7 +439,8 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             q_val += gain[i] * x[i]
         d_hat_obs = z[idx_r] + beta * q_val
         d_hat = d_hat_obs if margins else 0.0
-        phi = float(law.rate(t, x, u, dt)[0])
+        (phi,) = law.rate(t, x, u, dt)
+        phi = float(phi)
         if not margins:
             envelope = 0.0
         fx = F(x, u)
@@ -484,16 +488,13 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
             out[idx_r] = -beta * rdot
             return out
 
-        try:
-            k1 = f_aug(t, z)
-            hh = 0.5 * dt
-            k2 = f_aug(t + hh, [z[i] + hh * k1[i] for i in rng_z])
-            k3 = f_aug(t + hh, [z[i] + hh * k2[i] for i in rng_z])
-            k4 = f_aug(t + dt, [z[i] + dt * k3[i] for i in rng_z])
-            sixth = dt / 6.0
-            z = [z[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in rng_z]
-        except (OverflowError, ValueError):
-            raise BlowupError(t) from None
+        k1 = f_aug(t, z)
+        hh = 0.5 * dt
+        k2 = f_aug(t + hh, [z[i] + hh * k1[i] for i in rng_z])
+        k3 = f_aug(t + hh, [z[i] + hh * k2[i] for i in rng_z])
+        k4 = f_aug(t + dt, [z[i] + dt * k3[i] for i in rng_z])
+        sixth = dt / 6.0
+        z = [z[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in rng_z]
         if not all(map(math.isfinite, z)):
             raise BlowupError(t)
         return z
@@ -504,8 +505,6 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
 def summarize(log: TrajectoryLog, scenario: Optional[Scenario] = None) -> dict:
     """Metrics of a run: the loop's fold over every decided step, which does
     not depend on log_stride, with the halt, the row count and tracking."""
-    if not len(log.rows):
-        raise ConfigurationError("cannot summarize an empty log")
     metrics = dict(log.fold, halt_reason=log.halt_reason, steps_logged=len(log.rows))
     metrics["unsafe"] = any(v < -1e-3 for v in log.fold["barrier_min"].values())
     if scenario is not None and scenario.tracking_fn is not None:

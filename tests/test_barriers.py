@@ -303,6 +303,17 @@ def test_check_validity_rejects_degenerate_grids(example1_scenario):
         check_validity([], sc.model, lambda x, u: (0.0,), sc.check_box, 3)
 
 
+def test_check_validity_takes_one_resolution_rule(example1_scenario):
+    # the rule check.resolution is held to: an int >= 2, not a bool, or a
+    # list with one such int per axis; anything else is a ConfigurationError
+    sc = example1_scenario
+    for resolution in (2.5, [3, 2.5], "77", True, [3, True], (3, 3), [3], 1):
+        with pytest.raises(ConfigurationError, match=(
+                r"^resolution must be an int >= 2 or a list of 2 such ints, got ")):
+            check_validity(list(sc.barriers), sc.model, lambda x, u: (0.0,), sc.check_box,
+                           resolution)
+
+
 def test_check_validity_report_serializes(example1_scenario):
     import json
     sc = example1_scenario

@@ -5,7 +5,9 @@ its config's `scenario`. A config number is
 checked without converting it to a float, so one too large for a float is a
 config error that names its field, and so is a registered builder's box that
 does not fit its model, start outside its safe set, disturbance of the wrong
-length, or fast_loop scenario that the float kernel cannot run."""
+length, or fast_loop scenario that the float kernel cannot run. A law that
+fails before a run's first step, or a barrier that fails during a check, is
+one error line with exit 5."""
 
 import dataclasses
 import json
@@ -162,3 +164,41 @@ def test_a_disturbance_of_the_wrong_length_is_a_config_error(
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     _one_error_line(capsys, "d_true(0): expected a vector of length 1")
     assert not (tmp_path / "out").exists()
+
+
+def _fails_at_start():
+    class FailsAtStart:
+        def rate(self, t, x, u, dt):
+            raise ValueError("no rate at t = 0")
+
+    return dataclasses.replace(build_example1(), law=FailsAtStart())
+
+
+def _fails_past_3():
+    # example1 whose h_x is undefined past x = 3, inside its check box
+    def h_x(x, u):
+        if x[0] > 3.0:
+            raise ValueError("h_x is undefined past x = 3")
+        return 4.0 - x[0]
+
+    example1 = build_example1()
+    h_x_spec, h_u_spec = example1.barriers
+    return dataclasses.replace(example1, barriers=(dataclasses.replace(h_x_spec, h=h_x), h_u_spec))
+
+
+@pytest.mark.parametrize("command,build,message", [
+    ("run", _fails_at_start, "no rate at t = 0"),
+    ("compare", _fails_at_start, "no rate at t = 0"),
+    ("check", _fails_past_3, "h_x is undefined past x = 3"),
+], ids=["run", "compare", "check"])
+def test_a_run_or_check_that_cannot_start_is_one_error_line(
+        command, build, message, tmp_path, monkeypatch, capsys, deadline):
+    # a run that fails before its first step has no row to halt on, and a
+    # check has no halt at all: the error leaves the command as exit 5 and
+    # one line, with no CSV, summary.json or validity.json written
+    monkeypatch.setitem(scenarios.BUILDERS, "fails", build)
+    extra = [] if command == "check" else ["--t-end", "0.1"]
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", "fails", *extra, "--out", str(out)]) == cli.EXIT_ERROR
+    _one_error_line(capsys, f"{message}\n")
+    assert list(out.iterdir()) == []

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from do_icbf import ConfigurationError, DisturbanceBounds, SplitMix64, linear_rate
+from do_icbf import ConfigurationError, DisturbanceBounds, SplitMix64, SystemModel, linear_rate
 
 from oracles import finite_diff_gradient
 
@@ -105,3 +107,14 @@ def test_disturbance_bounds_validation():
     with pytest.raises(ConfigurationError):
         DisturbanceBounds(1.0, -2.0)
 
+
+
+def test_a_replaced_model_derives_its_zero_default_from_its_own_p():
+    # the zero d_true is derived from p in every copy; a given signal is kept
+    model = SystemModel(n=1, m=1, p=1, F=lambda x, u: (0.0,), ell=lambda x: np.zeros((1, 1)))
+    wide = dataclasses.replace(model, p=2, ell=lambda x: np.zeros((1, 2)))
+    assert np.array_equal(model.d_true(0.0), np.zeros(1))
+    assert np.array_equal(wide.d_true(3.0), np.zeros(2))
+    signal = lambda t: np.array([t])
+    given = dataclasses.replace(model, d_true=signal)
+    assert dataclasses.replace(given, p=2).d_true is signal

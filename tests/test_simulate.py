@@ -175,8 +175,8 @@ def test_initial_state_must_match_model_dimensions():
 
 
 def test_a_disturbance_of_the_wrong_length_is_refused_where_the_scenario_is_made():
-    # the loop packs d_true(t) into each row: a given signal, or the zero
-    # default that a replaced model keeps from its old p, must have p entries
+    # the loop packs d_true(t) into each row: a given signal must have p
+    # entries, and the zero default is derived again from a replaced model's p
     example1 = build_example1()
     short_d = dataclasses.replace(example1.model, d_true=lambda t: np.zeros(2))
     with pytest.raises(ConfigurationError, match=r"^d_true\(0\): expected a vector of length 1"):
@@ -184,8 +184,8 @@ def test_a_disturbance_of_the_wrong_length_is_refused_where_the_scenario_is_made
     sc = _static_scenario()
     wide = dataclasses.replace(sc.model, p=2, ell=lambda x: np.zeros((1, 2)))
     obs = dataclasses.replace(sc.obs_cfg, L_d=np.zeros((2, 1)))
-    with pytest.raises(ConfigurationError, match=r"^d_true\(0\): expected a vector of length 2"):
-        dataclasses.replace(sc, model=wide, obs_cfg=obs)
+    replaced = dataclasses.replace(sc, model=wide, obs_cfg=obs)
+    assert np.array_equal(replaced.model.d_true(0.0), np.zeros(2))
 
 
 def test_start_stacks_x0_u0_and_a_zero_estimate():
@@ -609,18 +609,23 @@ def test_closing_a_log_keeps_its_rows(example1_scenario):
     assert len(log.rows) == 51 and np.array_equal(log.rows[-1], last)
 
 
-def test_an_exception_that_does_not_halt_closes_the_spool(monkeypatch, example1_scenario):
-    # a law that raises TypeError is not a halt: the exception propagates,
-    # and the run's spool is closed rather than left to the garbage collector
-    spools = []
+@pytest.fixture
+def spools(monkeypatch):
+    """The spools that runs make during the test, one entry each."""
+    made = []
     make = simulate.tempfile.TemporaryFile
 
     def keep(*args, **kwargs):
-        spools.append(make(*args, **kwargs))
-        return spools[-1]
+        made.append(make(*args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(simulate.tempfile, "TemporaryFile", keep)
+    return made
 
+
+def test_an_exception_that_does_not_halt_closes_the_spool(spools, example1_scenario):
+    # a law that raises TypeError is not a halt: the exception propagates,
+    # and the run's spool is closed rather than left to the garbage collector
     class FailingLaw:
         def rate(self, t, x, u, dt):
             if t > 0.05:
@@ -631,6 +636,56 @@ def test_an_exception_that_does_not_halt_closes_the_spool(monkeypatch, example1_
         run_closed_loop(dataclasses.replace(example1_scenario, law=FailingLaw()),
                         SimConfig(dt=1e-2, t_end=1.0))
     assert len(spools) == 1 and spools[0].closed
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["float", "vector"])
+def test_a_run_that_fails_before_its_first_step_raises(spools, example1_scenario, fast):
+    # with no step decided there is no row to halt on: the law's ValueError
+    # propagates, as a ConfigurationError of the scenario would, and no run
+    # returns an empty log
+    class FailsAtStart:
+        def rate(self, t, x, u, dt):
+            raise ValueError("no rate at t = 0")
+
+    sc = dataclasses.replace(example1_scenario, law=FailsAtStart(), fast_loop=fast)
+    with pytest.raises(ValueError, match="^no rate at t = 0$"):
+        run_closed_loop(sc, SimConfig(dt=1e-2, t_end=1.0))
+    assert len(spools) == 1 and spools[0].closed
+
+
+def test_a_model_that_raises_in_a_stage_halts_alike_on_both_kernels(example1_scenario):
+    # xdot = exp(x) from x = 0 escapes at t = 1, where math.exp overflows in
+    # an RK4 stage: each kernel halts "error" with the same message, time and
+    # partial log, not "blowup" on one of them
+    model = dataclasses.replace(example1_scenario.model, F=lambda x, u: (math.exp(x[0]),))
+    ends = []
+    for fast in (True, False):
+        sc = dataclasses.replace(example1_scenario, model=model, fast_loop=fast)
+        log = run_closed_loop(sc, SimConfig(dt=0.1, t_end=5.0, filter_mode="off"))
+        ends.append((log.halt_reason, log.halt_message, summarize(log)["t_final"],
+                     len(log.rows)))
+    assert ends[0] == ends[1] == ("error", "t=1: math range error", 1.0, 11)
+
+
+@pytest.mark.parametrize("barriers", [True, False], ids=["example1", "no-barrier"])
+def test_a_law_that_returns_two_rates_halts_alike_on_both_kernels(example1_scenario, barriers):
+    # m = 1: from t = 0.06 on the law returns two rates, which neither kernel
+    # reads as one, with or without a barrier to assemble; each halts "error"
+    # there with the same partial log, where the float kernel once took the
+    # first rate and ran on, and the vector kernel without a barrier raised
+    # struct.error when it packed the row
+    class TwoRatesLate:
+        def rate(self, t, x, u, dt):
+            return np.zeros(2 if t > 0.05 else 1)
+
+    scenario = example1_scenario if barriers else _static_scenario()
+    ends = []
+    for fast in (True, False):
+        sc = dataclasses.replace(scenario, law=TwoRatesLate(), fast_loop=fast)
+        log = run_closed_loop(sc, SimConfig(dt=1e-2, t_end=1.0))
+        assert log.halt_message.startswith("t=0.06: ")
+        ends.append((log.halt_reason, summarize(log)["t_final"], len(log.rows)))
+    assert ends[0] == ends[1] == ("error", 5 * 1e-2, 6)
 
 
 def test_blowup_truncates_with_reason(acc_scenario):
