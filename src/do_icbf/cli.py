@@ -230,8 +230,14 @@ def _write_json(path: Path, payload: dict) -> None:
 def _run_mode(scenario, sim: SimConfig, csv: Path, name: str, plot: bool) -> tuple:
     """Simulate, summarize and write the CSV of one mode, and with plot the
     gnuplot script plot.gp of the run `name` beside it; returns the mode's
-    (metrics, halt_message)."""
-    log = run_closed_loop(scenario, sim)
+    (metrics, halt_message). An error raised before step 0, where no row
+    halts the run, reads as a halt at t = 0 would."""
+    try:
+        log = run_closed_loop(scenario, sim)
+    except OSError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"{sim.filter_mode}: t=0: {exc}") from exc
     try:
         metrics = summarize(log, scenario)
         log.write_csv(csv)
@@ -446,16 +452,16 @@ def main(argv=None) -> int:
         out = _outdir(cfg)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
-    # After prepare, an unwritable output exits 1, and a dead forked child or an
-    # error no run halts on (before step 0, or in check) 5; _run_tasks raises
-    # any of them only once every child is joined.
+    # After prepare, an unwritable output exits 1, and a dead forked child or
+    # any other error no run halts on (before step 0, or in check) 5;
+    # _run_tasks raises any of them only once every child is joined.
     try:
         if args.command == "check":
             return cmd_check(scenario, *plan, out)
         return cmd_simulate(args.command, cfg, scenario, plan, out)
     except OSError as exc:
         return _fail(str(exc))
-    except (ChildDiedError, ValueError, ArithmeticError) as exc:
+    except Exception as exc:
         return _fail(str(exc), EXIT_ERROR)
 
 

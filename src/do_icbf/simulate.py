@@ -124,11 +124,10 @@ class Scenario:
         _, values, _ = build_constraints(
             model, self.barriers, self.chain, np.zeros(model.m), self.x0, self.u0,
             np.zeros(model.p), error_envelope(obs, 0.0))
-        bad = {k: v for k, v in values.items() if not v >= 0.0}  # NaN too
+        bad = {k: v for k, v in values.items() if not 0.0 <= v < math.inf}  # NaN too
         if bad:
-            raise ConfigurationError(
-                f"initial state is outside the safe set: {bad} (all barrier values must be >= 0)"
-            )
+            raise ConfigurationError(f"initial state is outside the safe set: {bad} "
+                                     "(all barrier values must be finite and >= 0)")
 
     def start(self) -> Array:
         """The augmented start state z0 = (x0, u0, r0) with r0 = -beta q(x0),
@@ -222,7 +221,7 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
 
     After step 0 is decided, a run halts early with its partial log, on
     either kernel, on filter infeasibility, a non-finite state ("blowup") or
-    any other ValueError/ArithmeticError ("error", message in halt_message);
+    any other Exception but an OSError ("error", message in halt_message);
     before it, such an error propagates, so no log returned is empty. The
     same scenario + config always gives the same log: no randomness, no
     state shared between runs.
@@ -305,8 +304,8 @@ def run_closed_loop(scenario: Scenario, cfg: SimConfig) -> TrajectoryLog:
             z = advance(t, z, phi, v_star)
     except BlowupError:
         log.halt_reason = "blowup"
-    except (ValueError, ArithmeticError) as exc:
-        if math.isnan(t_last):  # no step decided, so no row to halt on
+    except Exception as exc:
+        if isinstance(exc, OSError) or math.isnan(t_last):  # I/O, or no row to halt on
             spool.close()
             raise
         log.halt_reason, log.halt_message = "error", f"t={t:.6g}: {exc}"

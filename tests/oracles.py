@@ -1,7 +1,6 @@
-"""Independent oracles for the least-norm QP: interval arithmetic for scalar
-problems, LP feasibility + grid refinement + projection polish for vector
-problems, and a classical iterative active-set method. None of them share
-code with the solver under test.
+"""Independent oracles for the least-norm QP: an exact rational solution
+that certifies the KKT conditions, and a classical iterative active-set
+method in floats. Neither shares code with the solver under test.
 
 closed_form_single is the textbook solution of the one-constraint QP.
 
@@ -20,6 +19,7 @@ level_values and gradient_error compare a scenario's analytic barrier
 gradients with it, taken of the values the filter evaluates."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,8 +28,6 @@ from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError, FilterResult
                      ValidityReport, build_constraints, error_envelope, solve_multi)
 from do_icbf.barriers import EPS_P
 from do_icbf.filter import _grid_axes
-
-EPS = 1e-8
 
 
 def column(log, name):
@@ -137,10 +135,12 @@ def gradient_error(spec, value, x, u, step=1e-5, rtol=1e-4):
 def random_instances(rng, count):
     """Seeded (m, K) instances with entries uniform in [-5, 5].
 
-    Rows shorter than 0.2 and constraint pairs within ~6 degrees of parallel
-    are resampled (deterministically): the grid/projection oracle's
-    convergence rate degrades without a conditioning floor, and such
-    instances would test the oracle, not the solver.
+    With m >= 2, rows shorter than 0.2 and constraint pairs within ~6
+    degrees of parallel are resampled (deterministically). The floor keeps
+    out rows with ||p|| <= EPS_P, which solve_multi drops as zero normals
+    while the exact oracle takes them as they are, and the resample keeps the
+    active-set oracle's Gram solves well conditioned: such instances would
+    test a convention or the oracle, not the solver.
     """
     out = []
     while len(out) < count:
@@ -161,26 +161,6 @@ def random_instances(rng, count):
     return out
 
 
-def interval_oracle_1d(ps, rs):
-    """min |v| s.t. p_i v >= r_i for scalars; returns (v, infeasible)."""
-    lo, hi = -np.inf, np.inf
-    for p, r in zip(ps, rs):
-        if abs(p) <= EPS:
-            if r > 0.0:
-                return 0.0, True
-            continue
-        bound = r / p
-        if p > 0.0:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    if lo > hi + 1e-12 * max(1.0, abs(lo), abs(hi)):
-        return 0.0, True
-    if lo <= 0.0 <= hi:
-        return 0.0, False
-    return (lo if lo > 0.0 else hi), False
-
-
 def feasible_point_lp(P, r):
     """A feasible point of {v : P v >= r} via scipy linprog, or None."""
     P = np.asarray(P, dtype=float)
@@ -188,10 +168,6 @@ def feasible_point_lp(P, r):
     res = linprog(c=np.zeros(P.shape[1]), A_ub=-P, b_ub=-r,
                   bounds=[(None, None)] * P.shape[1], method="highs")
     return res.x if res.status == 0 else None
-
-
-def feasible_lp(P, r):
-    return feasible_point_lp(P, r) is not None
 
 
 def closed_form_single(p, f):
@@ -240,75 +216,49 @@ def rk4(rhs, t, z, dt):
     return z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def dykstra_projection(P, r, iters=100000, tol=1e-14):
-    """Projection of the origin onto the intersection of half-spaces
-    {p_i^T v >= r_i} by Dykstra's alternating projections. The projection of
-    the origin is exactly the least-norm feasible point."""
-    P = np.asarray(P, dtype=float)
-    r = np.asarray(r, dtype=float)
-    K, m = P.shape
-    v = np.zeros(m)
-    corrections = np.zeros((K, m))
-    for _ in range(iters):
-        v_prev = v.copy()
-        for i in range(K):
-            y = v - corrections[i]
-            p = P[i]
-            pp = float(p @ p)
-            if pp <= EPS * EPS:
-                proj = y
-            else:
-                gap = r[i] - float(p @ y)
-                proj = y + (gap / pp) * p if gap > 0.0 else y
-            corrections[i] = proj - y
-            v = proj
-        if np.linalg.norm(v - v_prev) < tol * max(1.0, np.linalg.norm(v)):
-            break
-    return v
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def grid_refine(P, r, radius, rounds=4, pts=15):
-    """Coarse-to-fine grid search for the min-norm feasible point.
+def _solve_exact(A, b):
+    """The solution of A x = b by Gauss-Jordan elimination in Fractions, or
+    None when the square matrix A is singular."""
+    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for c in range(len(rows)):
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [a - f * p for a, p in zip(rows[i], rows[c])]
+    return [row[-1] / row[i] for i, row in enumerate(rows)]
 
-    Returns (best, final_step). Feasibility is relaxed by one grid cell per
-    round, so the returned point can sit slightly inside the infeasible side.
+
+def exact_oracle(P, r):
+    """The least-norm point of {v : P v >= r}, or None when the set is empty,
+    in exact rational arithmetic on the float entries as given.
+
+    For each subset S of the constraints, of every size from 0 to K, solve
+    the Gram system (P_S P_S^T) lam = r_S and take v = P_S^T lam. A point
+    with lam >= 0 that meets every constraint satisfies the KKT conditions of
+    min ||v||^2 s.t. P v >= r, so it is the unique minimizer; the minimizer
+    of a nonempty set has such multipliers on some linearly independent
+    active subset, so None means the set is empty. No tolerance is used.
     """
-    P = np.asarray(P, dtype=float)
-    r = np.asarray(r, dtype=float)
-    m = P.shape[1]
-    center = np.zeros(m)
-    best = None
-    step = radius
-    for _ in range(rounds):
-        axes = [np.linspace(c - step, c + step, pts) for c in center]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-        slack_tol = 2.0 * step / (pts - 1) * np.linalg.norm(P, axis=1).max()
-        feas = np.all(mesh @ P.T - r >= -slack_tol, axis=1)
-        if not feas.any():
-            step *= 2.0
-            continue
-        cand = mesh[feas]
-        norms = (cand ** 2).sum(axis=1)
-        best = cand[np.argmin(norms)]
-        center = best
-        step = 2.5 * step / (pts - 1)
-    return best, step
-
-
-def grid_polish_oracle(P, r):
-    """Dense grid refinement seeded from an LP feasible point, polished by
-    Dykstra's projection. Returns None when the system is infeasible."""
-    anchor = feasible_point_lp(P, r)
-    if anchor is None:
-        return None
-    radius = 2.0 * float(np.linalg.norm(anchor)) + 10.0
-    coarse, final_step = grid_refine(P, r, radius)
-    polished = dykstra_projection(P, r)
-    if coarse is not None:
-        # the two routes must land in the same neighborhood (the grid point is
-        # cell-relaxed, so only proximity is meaningful, not ordering)
-        assert np.linalg.norm(coarse - polished) <= max(1.0, 20.0 * final_step)
-    return polished
+    P = [[Fraction(float(a)) for a in row] for row in np.atleast_2d(P)]
+    r = [Fraction(float(b)) for b in np.atleast_1d(r)]
+    columns = list(zip(*P))
+    for size in range(len(P) + 1):
+        for S in itertools.combinations(range(len(P)), size):
+            lam = _solve_exact([[_dot(P[i], P[j]) for j in S] for i in S], [r[i] for i in S])
+            if lam is None or any(mu < 0 for mu in lam):
+                continue
+            v = [_dot(lam, [col[i] for i in S]) for col in columns]
+            if all(_dot(p, v) >= b for p, b in zip(P, r)):
+                return np.array([float(c) for c in v])
+    return None
 
 
 def active_set_oracle(P, r, max_iter=500):

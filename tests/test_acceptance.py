@@ -14,8 +14,8 @@ from do_icbf import (DisturbanceBounds, SimConfig, SplitMix64, build_acc,
 from do_icbf.cli import EXIT_INVALID, main
 from do_icbf.filter import FilterConstraint
 
-from oracles import (active_set_oracle, closed_form_single, column, gradient_error,
-                     grid_polish_oracle, interval_oracle_1d, level_values, random_instances)
+from oracles import (active_set_oracle, closed_form_single, column, exact_oracle,
+                     gradient_error, level_values, random_instances)
 
 
 class Budget:
@@ -151,8 +151,7 @@ def test_criterion_6_qp_oracle_equivalence():
         instances = random_instances(rng, 1000)
         kkt_exact = 0
         for P, r in instances:
-            k, m = P.shape
-            cons = [FilterConstraint(P[i], r[i]) for i in range(k)]
+            cons = [FilterConstraint(p, f) for p, f in zip(P, r)]
             res = solve_multi(cons)
 
             # single-constraint closed form is reproduced exactly
@@ -163,16 +162,10 @@ def test_criterion_6_qp_oracle_equivalence():
                 assert np.array_equal(single.v_star, expected)
                 kkt_exact += 1
 
-            if m == 1:
-                v, infeasible = interval_oracle_1d(P[:, 0], r)
-                assert res.infeasible == infeasible
-                if not infeasible:
-                    assert abs(res.v_star[0] - v) <= 1e-6
-            else:
-                oracle = grid_polish_oracle(P, r)
-                assert res.infeasible == (oracle is None)
-                if oracle is not None:
-                    assert float(np.linalg.norm(res.v_star - oracle)) <= 1e-6
+            v_exact = exact_oracle(P, r)
+            assert res.infeasible == (v_exact is None)
+            if v_exact is not None:
+                assert float(np.linalg.norm(res.v_star - v_exact)) <= 1e-9
             if not res.infeasible:
                 v_as = active_set_oracle(P, r)
                 assert v_as is not None

@@ -4,13 +4,16 @@ offered to any builder that takes d_true and bounds, and a run is named by
 its config's `scenario`. A config number is
 checked without converting it to a float, so one too large for a float is a
 config error that names its field, and so is a registered builder's box that
-does not fit its model, start outside its safe set, disturbance of the wrong
-length, or fast_loop scenario that the float kernel cannot run. A law that
+does not fit its model, start outside its safe set (or at an infinite barrier
+value), potential other than L_d x for a constant gain, disturbance of the
+wrong length, or fast_loop scenario that the float kernel cannot run. A law that
 fails before a run's first step, or a barrier that fails during a check, is
-one error line with exit 5."""
+one error line with exit 5, and so is any exception but an OSError that
+halts a run after its first step, which still writes its partial CSV."""
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -121,48 +124,59 @@ def _one_error_line(capsys, start):
     return err
 
 
-def test_a_start_outside_the_safe_set_is_a_config_error(tmp_path, monkeypatch, capsys):
-    # x = 5 is past example1's wall x <= 4: refused where the scenario is
-    # made, not run and reported as an infeasible filter at t = 0
-    monkeypatch.setitem(scenarios.BUILDERS, "outside",
-                        lambda: dataclasses.replace(build_example1(), x0=[5.0]))
-    assert cli.main(["run", "--scenario", "outside", "--t-end", "0.1",
-                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert "'h_x': -1.0" in _one_error_line(capsys, "initial state is outside the safe set")
-    assert not (tmp_path / "out").exists()
+def _shifted():
+    # a constant gain's potential is L_d x: acc's gain with another q_fn is
+    # refused by ObserverConfig
+    acc = build_acc()
+    return dataclasses.replace(acc, obs_cfg=dataclasses.replace(acc.obs_cfg,
+                                                                q_fn=lambda x: x[1:2] + 1.0))
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_a_fast_loop_scenario_the_float_kernel_cannot_run_is_a_config_error(
-        command, tmp_path, monkeypatch, capsys):
+def _state_gain():
     # acc takes the float kernel, which cannot run a state-map gain
-    def state_gain():
-        acc = build_acc()
-        obs = acc.obs_cfg
-        return dataclasses.replace(
-            acc, obs_cfg=dataclasses.replace(obs, L_d=lambda x: obs.L_d, q_fn=obs.q))
-
-    monkeypatch.setitem(scenarios.BUILDERS, "state-gain", state_gain)
-    assert cli.main([command, "--scenario", "state-gain", "--t-end", "0.1",
-                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    _one_error_line(capsys, "fast_loop (the float kernel) needs a constant L_d\n")
-    assert not (tmp_path / "out").exists()
+    acc = build_acc()
+    obs = acc.obs_cfg
+    return dataclasses.replace(acc, obs_cfg=dataclasses.replace(obs, L_d=lambda x: obs.L_d,
+                                                                q_fn=obs.q))
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_a_disturbance_of_the_wrong_length_is_a_config_error(
-        command, tmp_path, monkeypatch, capsys):
+def _short_d():
     # example1 has p = 1: a two-entry d_true is refused where the scenario is
     # made, not when the loop packs the first row
-    def short_d():
-        example1 = build_example1()
-        model = dataclasses.replace(example1.model, d_true=lambda t: np.zeros(2))
-        return dataclasses.replace(example1, model=model)
+    example1 = build_example1()
+    model = dataclasses.replace(example1.model, d_true=lambda t: np.zeros(2))
+    return dataclasses.replace(example1, model=model)
 
-    monkeypatch.setitem(scenarios.BUILDERS, "short-d", short_d)
-    assert cli.main([command, "--scenario", "short-d", "--t-end", "0.1",
+
+def _infinite():
+    # h_x = +inf at the start is not a margin, and would halt "blowup" at t = 0
+    example1 = build_example1()
+    h_x, h_u = example1.barriers
+    h_inf = dataclasses.replace(h_x, h=lambda x, u: math.inf)
+    return dataclasses.replace(example1, barriers=(h_inf, h_u))
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("build,message", [
+    # x = 5 is past example1's wall x <= 4: not run and reported as an
+    # infeasible filter at t = 0
+    (lambda: dataclasses.replace(build_example1(), x0=[5.0]),
+     "initial state is outside the safe set: {'h_x': -1.0} "),
+    (_shifted, "q_fn is given only with a state-map L_d; the potential of a constant L_d "
+               "is L_d x\n"),
+    (_state_gain, "fast_loop (the float kernel) needs a constant L_d\n"),
+    (_short_d, "d_true(0): expected a vector of length 1"),
+    (_infinite, "initial state is outside the safe set: {'h_x': inf} "
+                "(all barrier values must be finite and >= 0)\n"),
+], ids=["outside", "shifted", "state-gain", "short-d", "infinite"])
+def test_an_unrunnable_scenario_is_a_config_error(command, build, message, tmp_path, monkeypatch,
+                                                  capsys):
+    # a registered builder whose scenario cannot run is refused where the
+    # scenario is made: exit 1, its own error line and no output directory
+    monkeypatch.setitem(scenarios.BUILDERS, "unrunnable", build)
+    assert cli.main([command, "--scenario", "unrunnable", "--t-end", "0.1",
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    _one_error_line(capsys, "d_true(0): expected a vector of length 1")
+    _one_error_line(capsys, message)
     assert not (tmp_path / "out").exists()
 
 
@@ -187,8 +201,8 @@ def _fails_past_3():
 
 
 @pytest.mark.parametrize("command,build,message", [
-    ("run", _fails_at_start, "no rate at t = 0"),
-    ("compare", _fails_at_start, "no rate at t = 0"),
+    ("run", _fails_at_start, "do_icbf: t=0: no rate at t = 0"),
+    ("compare", _fails_at_start, "do_icbf: t=0: no rate at t = 0"),
     ("check", _fails_past_3, "h_x is undefined past x = 3"),
 ], ids=["run", "compare", "check"])
 def test_a_run_or_check_that_cannot_start_is_one_error_line(
@@ -202,3 +216,22 @@ def test_a_run_or_check_that_cannot_start_is_one_error_line(
     assert cli.main([command, "--scenario", "fails", *extra, "--out", str(out)]) == cli.EXIT_ERROR
     _one_error_line(capsys, f"{message}\n")
     assert list(out.iterdir()) == []
+
+
+def test_an_index_error_after_the_first_step_is_an_error_halt(tmp_path, monkeypatch, capsys):
+    # example1 whose law indexes past its one state from t = 0.06 on: the
+    # run halts "error" there with its partial CSV and summary.json
+    class IndexesPastX:
+        def rate(self, t, x, u, dt):
+            return (x[3],) if t > 0.05 else (0.0,)
+
+    monkeypatch.setitem(scenarios.BUILDERS, "fails-late",
+                        lambda: dataclasses.replace(build_example1(), law=IndexesPastX()))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "fails-late", "--dt", "0.01", "--t-end", "0.1",
+                     "--out", str(out)]) == cli.EXIT_ERROR
+    err = _one_error_line(capsys, "do_icbf: t=0.06: ")
+    assert "index" in err
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 6
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["halt_reason"] == "error"

@@ -6,7 +6,7 @@ from do_icbf import (ConfigurationError, FilterConstraint, SimConfig,
                      run_closed_loop, solve_multi)
 
 from oracles import (active_set_oracle, closed_form_single, column, disturbance_estimate,
-                     grid_polish_oracle, interval_oracle_1d, random_instances)
+                     exact_oracle, random_instances)
 
 
 def solve_one(p, f):
@@ -95,16 +95,10 @@ def test_solve_multi_against_independent_oracles():
     # quick battery; the full 1000-instance criterion lives in the acceptance suite
     for P, r in random_instances(SplitMix64(2024_02), 150):
         res = solve_multi([FilterConstraint(P[i], r[i]) for i in range(P.shape[0])])
-        if P.shape[1] == 1:
-            v, infeasible = interval_oracle_1d(P[:, 0], r)
-            assert res.infeasible == infeasible
-            if not infeasible:
-                assert abs(res.v_star[0] - v) <= 1e-9
-        else:
-            oracle = grid_polish_oracle(P, r)
-            assert res.infeasible == (oracle is None)
-            if oracle is not None:
-                assert np.linalg.norm(res.v_star - oracle) <= 1e-6
+        v_exact = exact_oracle(P, r)
+        assert res.infeasible == (v_exact is None)
+        if v_exact is not None:
+            assert np.linalg.norm(res.v_star - v_exact) <= 1e-9
         if not res.infeasible:
             v_as = active_set_oracle(P, r)
             assert v_as is not None
@@ -120,8 +114,10 @@ def test_solve_multi_feasibility_tolerance_scales_with_the_instance():
         P = np.array([[rng.uniform(-1e6, 1e6) for _ in range(2)] for _ in range(2)])
         r = np.array([rng.uniform(1e11, 1e13) for _ in range(2)])
         res = solve_multi([FilterConstraint(P[i], r[i]) for i in range(2)])
+        v_exact = exact_oracle(P, r)
         v_as = active_set_oracle(P, r)
-        assert not res.infeasible and v_as is not None
+        assert not res.infeasible and v_exact is not None and v_as is not None
+        assert np.linalg.norm(res.v_star - v_exact) <= 1e-9 * np.linalg.norm(v_exact)
         assert np.linalg.norm(res.v_star - v_as) <= 1e-9 * np.linalg.norm(v_as)
 
 

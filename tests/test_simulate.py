@@ -14,7 +14,7 @@ from do_icbf import (BarrierChain, BarrierSpec, BlowupError,
                      build_scenario, check_validity, error_envelope, linear_rate, rk4_step,
                      run_closed_loop, simulate, sinusoid_disturbance, summarize)
 from do_icbf.control_laws import ZeroRate
-from oracles import active_set_oracle, column, replay
+from oracles import active_set_oracle, column, exact_oracle, replay
 
 
 def test_rk4_zero_rhs():
@@ -234,6 +234,17 @@ def test_a_start_outside_the_safe_set_is_refused_where_the_scenario_is_made():
         dataclasses.replace(build_example1(), x0=[5.0])
 
 
+def test_a_start_with_an_infinite_barrier_value_is_refused_where_the_scenario_is_made():
+    # h = +inf is no margin at all: a value that is not finite is refused as
+    # a negative one is, before a run could halt "blowup" at t = 0
+    example1 = build_example1()
+    h_x, h_u = example1.barriers
+    with pytest.raises(ConfigurationError, match=r"^initial state is outside the safe set: "
+                       r"\{'h_x': inf\} \(all barrier values must be finite and >= 0\)$"):
+        dataclasses.replace(example1, barriers=(dataclasses.replace(h_x, h=lambda x, u: math.inf),
+                                                h_u))
+
+
 def test_checked_box_must_match_model_dimensions():
     sc = build_example1()
     with pytest.raises(ConfigurationError, match="box has state bounds"):
@@ -430,8 +441,10 @@ def test_two_input_loop_solves_each_step_as_the_active_set_oracle():
         constraints, _, _ = build_constraints(
             sc.model, sc.barriers, sc.chain, phi, x, u, row[col("dhat0"):col("dhat0") + 1],
             error_envelope(sc.obs_cfg, float(row[0])))
-        v_as = active_set_oracle(np.array([c.p_row for c in constraints]),
-                                 np.array([c.rhs for c in constraints]))
+        P = np.array([c.p_row for c in constraints])
+        r = np.array([c.rhs for c in constraints])
+        v_exact, v_as = exact_oracle(P, r), active_set_oracle(P, r)
+        assert np.linalg.norm(v - v_exact) <= 1e-9 * np.linalg.norm(v_exact), (row[0], v, v_exact)
         assert np.linalg.norm(v - v_as) <= 1e-9 * np.linalg.norm(v_as), (row[0], v, v_as)
         both_tight += all(
             abs(row[col(f"slack_{c.label}")])
@@ -623,19 +636,42 @@ def spools(monkeypatch):
     return made
 
 
-def test_an_exception_that_does_not_halt_closes_the_spool(spools, example1_scenario):
-    # a law that raises TypeError is not a halt: the exception propagates,
-    # and the run's spool is closed rather than left to the garbage collector
+def _fails_after_5_steps(error):
+    """A law with rate 0 that raises error("rate fails") from t = 0.06 on."""
     class FailingLaw:
         def rate(self, t, x, u, dt):
             if t > 0.05:
-                raise TypeError("rate fails")
+                raise error("rate fails")
             return np.zeros(1)
 
-    with pytest.raises(TypeError, match="rate fails"):
-        run_closed_loop(dataclasses.replace(example1_scenario, law=FailingLaw()),
-                        SimConfig(dt=1e-2, t_end=1.0))
-    assert len(spools) == 1 and spools[0].closed
+    return FailingLaw()
+
+
+def test_an_exception_that_does_not_halt_closes_the_spool(spools, example1_scenario):
+    # a KeyboardInterrupt, which is not an Exception, and an OSError, which is
+    # I/O as the spool's own write errors are, are not halts: each propagates,
+    # and the run's spool is closed rather than left to the garbage collector
+    for error in (KeyboardInterrupt, OSError):
+        with pytest.raises(error, match="rate fails"):
+            run_closed_loop(dataclasses.replace(example1_scenario,
+                                                law=_fails_after_5_steps(error)),
+                            SimConfig(dt=1e-2, t_end=1.0))
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
+
+
+@pytest.mark.parametrize("error", [IndexError, KeyError, TypeError])
+def test_any_exception_after_the_first_step_halts_alike_on_both_kernels(example1_scenario,
+                                                                        error):
+    # not only a ValueError or ArithmeticError: from t = 0.06 on the law
+    # raises, and each kernel halts "error" there with the same partial log
+    ends = []
+    for fast in (True, False):
+        sc = dataclasses.replace(example1_scenario, law=_fails_after_5_steps(error),
+                                 fast_loop=fast)
+        log = run_closed_loop(sc, SimConfig(dt=1e-2, t_end=1.0))
+        assert log.halt_message == f"t=0.06: {error('rate fails')}"
+        ends.append((log.halt_reason, summarize(log)["t_final"], len(log.rows)))
+    assert ends[0] == ends[1] == ("error", 5 * 1e-2, 6)
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["float", "vector"])
