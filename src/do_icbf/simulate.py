@@ -121,9 +121,10 @@ class Scenario:
                 raise ConfigurationError("fast_loop (the float kernel) needs m = p = 1")
             if callable(obs.L_d):
                 raise ConfigurationError("fast_loop (the float kernel) needs a constant L_d")
-        _, values, _ = build_constraints(
-            model, self.barriers, self.chain, np.zeros(model.m), self.x0, self.u0,
-            np.zeros(model.p), error_envelope(obs, 0.0))
+        with np.errstate(all="ignore"):  # what overflows is refused below, not warned of
+            _, values, _ = build_constraints(
+                model, self.barriers, self.chain, np.zeros(model.m), self.x0, self.u0,
+                np.zeros(model.p), error_envelope(obs, 0.0))
         bad = {k: v for k, v in values.items() if not 0.0 <= v < math.inf}  # NaN too
         if bad:
             raise ConfigurationError(f"initial state is outside the safe set: {bad} "
@@ -387,9 +388,12 @@ def _float_kernel(scenario: Scenario, law, cfg: SimConfig) -> tuple:
     checked: a constant channel column ell, read once at x0, and barrier
     callables that accept plain sequences. The state is a list; otherwise
     as _vector_kernel, down to the one rate read from the law and what F or
-    d_true raise. Its sums and RK4 combination round differently from
-    numpy's, so the two kernels agree to ~1e-12, not bit for bit, and tests
-    pin each one separately.
+    d_true raise. Its sums round each product and each sum, where numpy's
+    float64 dot of a vector, or of a one-row matrix, is a chain of fused
+    multiply-adds with OpenBLAS on x86-64, which Python 3.11 floats cannot
+    express (math.fma is 3.13); with its RK4 combination grouped otherwise
+    too, the two kernels agree to ~1e-12, not bit for bit, and tests pin
+    each one separately.
     """
     model = scenario.model
     n = model.n

@@ -16,9 +16,13 @@ build_constraints and solve_multi: it checks the log, not the QP.
 
 finite_diff_gradient is the central-difference gradient oracle, and
 level_values and gradient_error compare a scenario's analytic barrier
-gradients with it, taken of the values the filter evaluates."""
+gradients with it, taken of the values the filter evaluates.
+
+one_error_line reads a command's stderr as its one error line, and
+config_error runs a CLI command on a config that must be refused."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +31,38 @@ from scipy.optimize import linprog
 from do_icbf import (BarrierChain, BarrierSpec, ConfigurationError, FilterResult,
                      ValidityReport, build_constraints, error_envelope, solve_multi)
 from do_icbf.barriers import EPS_P
+from do_icbf.cli import EXIT_CONFIG, main
 from do_icbf.filter import _grid_axes
+
+
+# The overrides each built-in builder accepts, as the error line ends.
+ACCEPTED = {
+    "acc": "accepted: alpha, beta, c0, c1, c2, c_accel, disturbance, g, gamma, headway, horizon, "
+           "initial_u, initial_x, mass, mu1, v0, v_d\n",
+    "bicycle": "accepted: accel, gamma1, gamma2, initial_x, max_steer, obstacle_radius, "
+               "path_offset, speed, stanley_gain, wheelbase\n",
+    "example1": "accepted: initial_u, initial_x\n",
+}
+
+
+def config_error(tmp_path, capsys, command, fields, *parts):
+    """The CLI command on the config {"schema": 1, "scenario": "acc", "out": ...}
+    updated by fields: exit 1, one error line holding each of parts, no --out."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "scenario": "acc", "out": str(tmp_path / "out"),
+                               **fields}))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, fields
+    one_error_line(capsys, "", *parts)
+    assert not (tmp_path / "out").exists(), fields
+
+
+def one_error_line(capsys, start, *parts):
+    """The captured stderr, asserted to be one line that starts with
+    "do-icbf: error: " + start and contains each of parts."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"do-icbf: error: {start}"), err
+    assert all(part in err for part in parts), err
+    return err
 
 
 def column(log, name):

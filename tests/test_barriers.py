@@ -120,18 +120,6 @@ def test_chain_value_fixed_point_is_zero():
     assert values["b1"] == 0.0
 
 
-def test_chain_value_is_pure(bicycle_scenario):
-    chain = bicycle_scenario.chain
-    model = bicycle_scenario.model
-    x = np.array([4.0, -3.0, 1.1, 0.5])
-    u = np.array([0.2])
-    args = (model, (), chain, np.array([0.3]), x, u, np.zeros(1), 0.0)
-    first, first_values, _ = build_constraints(*args)
-    second, second_values, _ = build_constraints(*args)
-    assert first_values == second_values
-    assert [c.rhs for c in first] == [c.rhs for c in second]
-
-
 def test_chain_requires_enough_gammas():
     # each level carries its own rate, so a chain's rates come with its
     # levels: all it needs is b_0 and b_1

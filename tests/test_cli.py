@@ -15,6 +15,8 @@ from do_icbf import build_acc, build_example1, cli, simulate
 from do_icbf.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE,
                          EXIT_INVALID, EXIT_OK, main)
 
+from oracles import ACCEPTED, config_error, one_error_line
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "do_icbf" / "schemas"
      / "summary.schema.json").read_text()
@@ -90,15 +92,6 @@ def test_run_csv_header_layout(tmp_path):
                       "b_h_x,b_h_e,b_h_u,slack_h_u,slack_h_e,c_margin,infeasible")
 
 
-def test_check_example1_lists_the_boundary_counterexample(tmp_path):
-    rc = run_cli("check", "--scenario", "example1", "--out", str(tmp_path))
-    assert rc == EXIT_INVALID
-    report = load(tmp_path / "validity.json")
-    assert report["valid"] is False
-    assert any(c["x"] == [4.0] and c["u"] == [0.0]
-               for c in report["counterexamples"])
-
-
 def test_check_bicycle_is_valid_degree_two(tmp_path):
     rc = run_cli("check", "--scenario", "bicycle", "--out", str(tmp_path))
     assert rc == EXIT_OK
@@ -112,21 +105,16 @@ def test_check_acc_is_valid(tmp_path):
     assert rc == EXIT_OK
 
 
-def test_check_empty_barrier_selection_fails(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "schema": 1, "scenario": "example1", "check": {"barriers": []},
-        "out": str(tmp_path),
-    }))
-    rc = run_cli("check", "--config", str(cfg))
-    assert rc == EXIT_CONFIG
-
-
 def _check_config(tmp_path, check, scenario="acc", **fields):
     cfg = tmp_path / "check.json"
     cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "check": check,
                                "out": str(tmp_path / "out"), **fields}))
     return cfg
+
+
+def test_check_empty_barrier_selection_fails(tmp_path, capsys):
+    config_error(tmp_path, capsys, "check", {"scenario": "example1", "check": {"barriers": []}},
+                 "check.barriers must be a non-empty list of labels from ['h_x', 'h_u'], got []")
 
 
 def test_check_barrier_selection(tmp_path, monkeypatch, capsys):
@@ -170,18 +158,13 @@ def test_check_config_is_validated_before_writing(tmp_path, capsys):
                                 "resolution, times"),
            (5, "check must be a JSON object")]
     for check, field in bad:
-        cfg = _check_config(tmp_path, check)
-        assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG, check
-        assert field in capsys.readouterr().err, check
-        assert not (tmp_path / "out").exists(), check
+        config_error(tmp_path, capsys, "check", {"check": check}, field)
     # a key that only run or compare reads is unknown to check, not ignored
     for key, value in (("t_end", 5), ("dt", 0.01), ("log_stride", 2), ("filter", "off"),
                        ("baseline", "off"), ("emit_plot", True)):
-        cfg = _check_config(tmp_path, {"resolution": 2}, **{key: value})
-        assert run_cli("check", "--config", str(cfg)) == EXIT_CONFIG, key
-        assert (f"unknown config key(s) '{key}' for command 'check'; accepted: check, out, "
-                f"overrides, scenario, schema") in capsys.readouterr().err, key
-        assert not (tmp_path / "out").exists(), key
+        config_error(tmp_path, capsys, "check", {"check": {"resolution": 2}, key: value},
+                     f"unknown config key(s) '{key}' for command 'check'; accepted: check, out, "
+                     f"overrides, scenario, schema")
     cfg = _check_config(tmp_path, {"times": [0, 2.5], "resolution": [2, 3, 2, 2]})
     assert run_cli("check", "--config", str(cfg)) == EXIT_OK
 
@@ -235,11 +218,12 @@ def test_module_forms_run_the_cli(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_cli_runs_close_their_spools(tmp_path, command):
-    # in development mode an unclosed file is reported when it is collected;
-    # the module form of compare writes the CSV of each of its modes
+    # in development mode an unclosed file is reported when it is collected,
+    # here as an error, and so is a numpy RuntimeWarning; the module form of
+    # compare writes the CSV of each of its modes
     proc = _entry(command, "--scenario", "example1", "--t-end", "0.1", "--out", str(tmp_path),
                   cwd=tmp_path, launch=("-X", "dev", "-W", "error::ResourceWarning",
-                                        "-m", "do_icbf"))
+                                        "-W", "error::RuntimeWarning", "-m", "do_icbf"))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "ResourceWarning" not in proc.stderr, proc.stderr
     csvs = (["trajectory.csv"] if command == "run"
@@ -300,20 +284,13 @@ def test_compare_error_halts_report_in_mode_order(tmp_path, capsys, deadline):
     assert_no_child_left()
 
 
-def _one_error_line(capsys, *parts):
-    """stderr is a single error line that contains each of parts."""
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("do-icbf: error: "), err
-    assert all(part in err for part in parts), err
-
-
 @pytest.mark.parametrize("blocked", ["icbf", "do_icbf"], ids=["baseline", "filter"])
 def test_compare_unwritable_csv_raises_after_joining(tmp_path, capsys, blocked, deadline,
                                                       two_cpus):
     (tmp_path / f"trajectory_{blocked}.csv").mkdir()
     assert run_cli("compare", "--scenario", "acc", "--t-end", "0.2",
                    "--out", str(tmp_path)) == EXIT_CONFIG
-    _one_error_line(capsys, f"trajectory_{blocked}.csv")
+    one_error_line(capsys, "", f"trajectory_{blocked}.csv")
     assert_no_child_left()
     assert len(two_cpus) == 1
     # the other mode's CSV is whole; no summary is written
@@ -334,7 +311,7 @@ def test_compare_child_death_is_an_error(tmp_path, capsys, monkeypatch, deadline
     monkeypatch.setattr(cli, "run_closed_loop", dies_as_baseline)
     assert run_cli("compare", "--scenario", "acc", "--t-end", "0.2",
                    "--out", str(tmp_path)) == EXIT_ERROR
-    _one_error_line(capsys, "do-icbf: error: icbf: ", "exited with code 9 ")
+    one_error_line(capsys, "icbf: ", "exited with code 9 ")
     assert_no_child_left()
     # the other mode's CSV is whole; no summary is written
     rows = (tmp_path / "trajectory_do_icbf.csv").read_text().splitlines()
@@ -352,7 +329,7 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, deadline, two_cpu
     (tmp_path / blocked).mkdir()
     argv = [command, "--scenario", "example1", "--out", str(tmp_path)]
     assert run_cli(*argv, *(["--t-end", "0.1"] if command != "check" else [])) == EXIT_CONFIG
-    _one_error_line(capsys, blocked)
+    one_error_line(capsys, "", blocked)
     assert len(two_cpus) == (1 if command == "compare" else 0)
 
 
@@ -386,7 +363,7 @@ def test_a_spool_that_cannot_be_made_is_one_error_line(tmp_path, monkeypatch, ca
     out = tmp_path / "out"
     assert run_cli(command, "--scenario", "example1", "--t-end", "0.1",
                    "--out", str(out)) == EXIT_CONFIG
-    _one_error_line(capsys, "Not a directory")
+    one_error_line(capsys, "", "Not a directory")
     assert_no_child_left()
     assert len(two_cpus) == (1 if command == "compare" else 0)
     assert not (out / "summary.json").exists()
@@ -466,22 +443,17 @@ def test_compare_bicycle_baseline_enters_disk(tmp_path):
     assert summary["per_mode"]["off"]["barrier_min"]["b0"] < 0.0
 
 
-def test_compare_identical_modes_is_degenerate(tmp_path):
-    rc = run_cli("compare", "--scenario", "acc", "--filter", "off",
-                 "--baseline", "off", "--out", str(tmp_path))
-    assert rc == EXIT_CONFIG
+def test_compare_identical_modes_is_degenerate(tmp_path, capsys):
+    config_error(tmp_path, capsys, "compare", {"filter": "off", "baseline": "off"},
+                 "degenerate comparison: both modes are 'off'")
 
 
 def test_compare_config_takes_only_its_keys(tmp_path, capsys):
     # compare reads baseline, not run's emit_plot nor check's block
-    cfg = tmp_path / "cfg.json"
     for key, value in (("emit_plot", True), ("check", {"resolution": 3})):
-        cfg.write_text(json.dumps({"schema": 1, "scenario": "acc", "t_end": 0.1, key: value,
-                                   "out": str(tmp_path / "out")}))
-        assert run_cli("compare", "--config", str(cfg)) == EXIT_CONFIG, key
-        assert (f"unknown config key(s) '{key}' for command 'compare'; accepted: baseline, "
-                f"dt, filter, log_stride,") in capsys.readouterr().err, key
-        assert not (tmp_path / "out").exists(), key
+        config_error(tmp_path, capsys, "compare", {"t_end": 0.1, key: value},
+                     f"unknown config key(s) '{key}' for command 'compare'; accepted: baseline, "
+                     f"dt, filter, log_stride,")
 
 
 def test_exit_codes_partition(tmp_path):
@@ -490,10 +462,6 @@ def test_exit_codes_partition(tmp_path):
                    "--out", str(tmp_path / "ok")) == EXIT_OK
     # 1: unreadable config
     assert run_cli("run", "--config", str(tmp_path / "missing.json")) == EXIT_CONFIG
-    # 1: config without schema tag
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    assert run_cli("run", "--config", str(bad)) == EXIT_CONFIG
     # 1: output path already exists as a file
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -510,9 +478,7 @@ def test_exit_codes_partition(tmp_path):
     # 3: numerical blow-up (absurd step size on an unstable loop)
     assert run_cli("run", "--scenario", "acc", "--filter", "off", "--dt", "2.0",
                    "--t-end", "2000", "--out", str(tmp_path / "blow")) == EXIT_BLOWUP
-    # 4: validity counterexamples
-    assert run_cli("check", "--scenario", "example1",
-                   "--out", str(tmp_path / "chk")) == EXIT_INVALID
+    # 4: validity counterexamples, criterion 7's exit
 
 
 def test_env_var_default_outdir(tmp_path, monkeypatch):
@@ -553,33 +519,17 @@ def test_usage_errors_exit_config_not_infeasible(tmp_path, capsys):
 
 
 def test_unknown_override_is_a_config_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "schema": 1, "scenario": "bicycle", "t_end": 0.1,
-        "overrides": {"gamma3": 1.0}, "out": str(tmp_path / "out"),
-    }))
-    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "'gamma3'" in err
-    assert "gamma2" in err and "initial_x" in err
-    cfg.write_text(json.dumps({"schema": 1, "scenario": "acc", "overrides": {"disturbance": 5},
-                               "out": str(tmp_path / "out")}))
-    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-    assert "overrides.disturbance" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    config_error(tmp_path, capsys, "run", {"scenario": "acc", "overrides": {"disturbance": 5}},
+                 "overrides.disturbance")
     # only numeric builder keywords are reachable from JSON, plus the
     # initial_x / initial_u / disturbance fields; x0 / u0 are not second names
-    for scenario, key, value in [("bicycle", "path", [1, 2]), ("acc", "bounds", 1),
-                                 ("acc", "d_true", 1), ("acc", "x0", [0, 10, 25]),
-                                 ("acc", "u0", [0]), ("bicycle", "x0", [15, 10, 1.5, 0.5])]:
-        cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "t_end": 0.1,
-                                   "overrides": {key: value}, "out": str(tmp_path / "out")}))
-        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"unknown override {key!r} for scenario {scenario!r}" in err
-        accepted = err.split("accepted: ")[1].strip().split(", ")
-        assert key not in accepted and "initial_x" in accepted
-        assert not (tmp_path / "out").exists()
+    for scenario, key, value in [("bicycle", "gamma3", 1.0), ("bicycle", "path", [1, 2]),
+                                 ("acc", "bounds", 1), ("acc", "d_true", 1),
+                                 ("acc", "x0", [0, 10, 25]), ("acc", "u0", [0]),
+                                 ("bicycle", "x0", [15, 10, 1.5, 0.5])]:
+        config_error(tmp_path, capsys, "run", {"scenario": scenario, "t_end": 0.1,
+                                               "overrides": {key: value}},
+                     f"unknown override {key!r} for scenario {scenario!r}; {ACCEPTED[scenario]}")
 
 
 @pytest.mark.parametrize("scenario,fields,name", [
@@ -636,12 +586,8 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, scenario, fields,
     # its JSON type too, the required fields of a disturbance must be there,
     # and a key that run does not read (check's block, compare's baseline),
     # valid or not, is unknown to it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
-                                    "out": str(tmp_path / "out")}, **fields)))
-    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-    assert name in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    config_error(tmp_path, capsys, "run", dict({"scenario": scenario, "t_end": 0.1}, **fields),
+                 name)
 
 
 def test_config_integers_are_numbers(tmp_path):
@@ -658,16 +604,9 @@ def test_config_integers_are_numbers(tmp_path):
 
 def test_initial_u_is_offered_only_to_scenarios_with_a_start_input(tmp_path, capsys):
     # bicycle derives its start steering from the Stanley law, so it takes no u0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, "scenario": "bicycle", "t_end": 0.1,
-                               "overrides": {"initial_u": [0.1]},
-                               "out": str(tmp_path / "out")}))
-    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "unknown override 'initial_u' for scenario 'bicycle'" in err
-    assert "accepted:" in err and "initial_x" in err and "gamma2" in err
-    assert "u0" not in err.split("accepted:")[1]
-    assert not (tmp_path / "out").exists()
+    config_error(tmp_path, capsys, "run", {"scenario": "bicycle", "t_end": 0.1,
+                                           "overrides": {"initial_u": [0.1]}},
+                 f"unknown override 'initial_u' for scenario 'bicycle'; {ACCEPTED['bicycle']}")
 
 
 @pytest.mark.parametrize("scenario,overrides,message", [
@@ -677,17 +616,14 @@ def test_initial_u_is_offered_only_to_scenarios_with_a_start_input(tmp_path, cap
 ], ids=["acc-initial_x", "acc-initial_u", "bicycle-initial_x"])
 def test_wrong_length_initial_state_is_a_config_error(tmp_path, capsys, scenario, overrides,
                                                       message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, "scenario": scenario, "t_end": 0.1,
-                               "overrides": overrides, "out": str(tmp_path / "out")}))
-    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    config_error(tmp_path, capsys, "run", {"scenario": scenario, "t_end": 0.1,
+                                           "overrides": overrides}, message)
 
 
 @pytest.mark.parametrize("scenario,fields,message", [
-    ("acc", {"dt": 1e-320}, "t_end / dt must be a finite step count"),
-    ("acc", {"dt": 1e-200, "t_end": 1e200}, "t_end / dt must be a finite step count"),
+    ("acc", {"dt": 1e-320}, "t_end / dt must be a finite step count, got t_end=0.1, dt=1e-320"),
+    ("acc", {"dt": 1e-200, "t_end": 1e200},
+     "t_end / dt must be a finite step count, got t_end=1e+200, dt=1e-200"),
     ("acc", {"overrides": {"mass": 0}}, "mass must be > 0"),
     ("acc", {"overrides": {"horizon": 1e-300}}, "exp(-c1 T / mass) rounds to 1"),
     ("acc", {"overrides": {"mass": 1e308}}, "exp(-c1 T / mass) rounds to 1"),
@@ -708,13 +644,22 @@ def test_degenerate_numbers_are_config_errors(tmp_path, capsys, scenario, fields
     # each is a config error of the prepare step, raised before --out is created
     # and before any arithmetic that would warn; so is a key the config, or
     # its disturbance, does not take
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict({"schema": 1, "scenario": scenario, "t_end": 0.1,
-                                    "out": str(tmp_path / "out")}, **fields)))
-    assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("do-icbf: error: ") and message in err
-    assert not (tmp_path / "out").exists()
+    config_error(tmp_path, capsys, "run", dict({"scenario": scenario, "t_end": 0.1}, **fields),
+                 message)
+
+
+@pytest.mark.parametrize("command,scenario,overrides,values", [
+    ("compare", "acc", {"c2": -1e308}, "{'h_e': -inf}"),
+    ("check", "bicycle", {"accel": -1e308}, "{'b2': -inf}"),
+    ("check", "acc", {"headway": 1e308, "mass": 1e9}, "{'h_x': -inf, 'h_e': -inf}"),
+], ids=["acc-c2", "bicycle-accel", "acc-headway"])
+@pytest.mark.filterwarnings("error")
+def test_a_start_that_overflows_is_one_error_line(tmp_path, capsys, command, scenario,
+                                                  overrides, values):
+    # finite overrides whose barrier values overflow at the start: the start
+    # check refuses them with one line and no numpy RuntimeWarning
+    config_error(tmp_path, capsys, command, {"scenario": scenario, "overrides": overrides},
+                 f"initial state is outside the safe set: {values} (all barrier values")
 
 
 def test_mid_run_error_halts_with_partial_output(tmp_path, capsys):

@@ -12,6 +12,7 @@ one error line with exit 5, and so is any exception but an OSError that
 halts a run after its first step, which still writes its partial CSV."""
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -21,6 +22,8 @@ import pytest
 
 from do_icbf import (DomainBox, build_acc, build_bicycle, build_example1, cli, scenarios,
                      simulate)
+
+from oracles import ACCEPTED, config_error, one_error_line
 
 
 def panels(script):
@@ -56,28 +59,27 @@ def test_plot_script_is_read_from_the_header(name, build, last):
     assert "circle" not in script
 
 
+def test_cli_names_no_built_in_scenario():
+    assert not re.search(r'"(acc|bicycle|example1)"', inspect.getsource(cli))
+
+
 def test_disturbance_override_is_offered_by_signature(tmp_path, monkeypatch, capsys):
     # a builder registered under any name that takes d_true and bounds gets it
     monkeypatch.setitem(scenarios.BUILDERS, "platoon", build_acc)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "scenario": "platoon", "t_end": 0.1, "dt": 0.01,
                                "overrides": {"disturbance": {"kind": "constant", "value": 0.5}},
-                               "out": str(tmp_path / "out")}))
+                               "out": str(tmp_path / "platoon")}))
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OK
-    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    rows = (tmp_path / "platoon" / "trajectory.csv").read_text().splitlines()
     d0 = rows[0].split(",").index("d0")
     assert {float(row.split(",")[d0]) for row in rows[1:]} == {0.5}
     # builders without those keywords do not
     for name in ("bicycle", "example1"):
-        cfg.write_text(json.dumps({"schema": 1, "scenario": name, "t_end": 0.1,
-                                   "overrides": {"disturbance": {"kind": "constant",
-                                                                 "value": 0.5}},
-                                   "out": str(tmp_path / name)}))
-        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"unknown override 'disturbance' for scenario {name!r}" in err
-        assert "disturbance" not in err.split("accepted: ")[1].strip().split(", ")
-        assert not (tmp_path / name).exists()
+        config_error(tmp_path, capsys, "run", {
+            "scenario": name, "t_end": 0.1,
+            "overrides": {"disturbance": {"kind": "constant", "value": 0.5}}},
+            f"unknown override 'disturbance' for scenario {name!r}; {ACCEPTED[name]}")
 
 
 def test_a_run_is_named_by_its_config(tmp_path, monkeypatch):
@@ -94,13 +96,9 @@ def test_a_run_is_named_by_its_config(tmp_path, monkeypatch):
 
 
 def test_check_time_beyond_a_float_is_a_config_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, "scenario": "example1", "check": {"times": [10 ** 400]},
-                               "out": str(tmp_path / "out")}))
-    assert cli.main(["check", "--config", str(cfg)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("do-icbf: error: check.times must be a non-empty list of finite")
-    assert not (tmp_path / "out").exists()
+    config_error(tmp_path, capsys, "check", {"scenario": "example1",
+                                             "check": {"times": [10 ** 400]}},
+                 "error: check.times must be a non-empty list of finite")
 
 
 def test_a_builder_whose_domain_does_not_fit_its_model_is_a_config_error(tmp_path, monkeypatch,
@@ -116,12 +114,6 @@ def test_a_builder_whose_domain_does_not_fit_its_model_is_a_config_error(tmp_pat
     assert err.count("\n") == 1
     assert err.startswith("do-icbf: error: domain has state bounds of shape (2,)")
     assert not (tmp_path / "out").exists()
-
-
-def _one_error_line(capsys, start):
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"do-icbf: error: {start}"), err
-    return err
 
 
 def _shifted():
@@ -176,7 +168,7 @@ def test_an_unrunnable_scenario_is_a_config_error(command, build, message, tmp_p
     monkeypatch.setitem(scenarios.BUILDERS, "unrunnable", build)
     assert cli.main([command, "--scenario", "unrunnable", "--t-end", "0.1",
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    _one_error_line(capsys, message)
+    one_error_line(capsys, message)
     assert not (tmp_path / "out").exists()
 
 
@@ -214,7 +206,7 @@ def test_a_run_or_check_that_cannot_start_is_one_error_line(
     extra = [] if command == "check" else ["--t-end", "0.1"]
     out = tmp_path / "out"
     assert cli.main([command, "--scenario", "fails", *extra, "--out", str(out)]) == cli.EXIT_ERROR
-    _one_error_line(capsys, f"{message}\n")
+    one_error_line(capsys, f"{message}\n")
     assert list(out.iterdir()) == []
 
 
@@ -230,7 +222,7 @@ def test_an_index_error_after_the_first_step_is_an_error_halt(tmp_path, monkeypa
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", "fails-late", "--dt", "0.01", "--t-end", "0.1",
                      "--out", str(out)]) == cli.EXIT_ERROR
-    err = _one_error_line(capsys, "do_icbf: t=0.06: ")
+    err = one_error_line(capsys, "do_icbf: t=0.06: ")
     assert "index" in err
     assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 6
     summary = json.loads((out / "summary.json").read_text())

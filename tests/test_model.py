@@ -34,16 +34,6 @@ def test_bicycle_dynamics_at_origin_heading_east(bicycle_scenario):
     assert np.allclose(out, [0.5, 0.0, 0.0, 0.0], atol=1e-15)
 
 
-def test_eval_dynamics_is_deterministic(acc_scenario, bicycle_scenario):
-    for model, x, u, d in [
-        (acc_scenario.model, (3.0, 17.2, 41.0), (250.0,), (1.3,)),
-        (bicycle_scenario.model, (2.0, -1.0, 0.7, 0.5), (0.2,), (0.0,)),
-    ]:
-        a = _xdot(model, x, u, d)
-        b = _xdot(model, x, u, d)
-        assert np.array_equal(a, b)
-
-
 def test_finite_diff_constant_and_linear():
     assert np.array_equal(finite_diff_gradient(lambda v: 7.0, (1.0, 2.0), 1e-3),
                           np.zeros(2))
@@ -106,7 +96,6 @@ def test_disturbance_bounds_validation():
         DisturbanceBounds(-1.0, 0.0)
     with pytest.raises(ConfigurationError):
         DisturbanceBounds(1.0, -2.0)
-
 
 
 def test_a_replaced_model_derives_its_zero_default_from_its_own_p():

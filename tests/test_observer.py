@@ -279,14 +279,6 @@ def test_a_state_map_gain_needs_its_potential():
     assert np.array_equal(cfg.gain_at(np.zeros(3)), gain(None))
 
 
-def test_a_constant_gain_takes_no_potential():
-    # any potential of a constant L_d is L_d x plus a constant, which the
-    # observer's start r(0) = -beta q(x0) cancels; so a given one is refused
-    with pytest.raises(ConfigurationError, match="potential of a constant L_d is L_d x"):
-        ObserverConfig(beta=1.0, L_d=np.array([[0.0, 1.0, 0.0]]), mu1=1.0, bounds=BOUNDS,
-                       q_fn=lambda x: np.array([x[1] + 1.0]))
-
-
 def test_envelope_sound_and_exponential_decay_along_acc(acc_scenario):
     log = run_closed_loop(acc_scenario, SimConfig(dt=1e-3, t_end=12.0,
                                                   filter_mode="do_icbf"))

@@ -1,6 +1,7 @@
 import types
 
 import do_icbf
+from mutants import table_errors
 
 # Every name the package exports. A new export, or a deleted one, is an edit
 # to this list.
@@ -19,3 +20,8 @@ def test_public_surface_is_the_listed_set():
     exported = {name for name, value in vars(do_icbf).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC
+
+
+def test_each_mutant_edits_one_place():
+    # tests/mutants.py's table: a refactor that moves mutated code fails here
+    assert table_errors() == []
