@@ -505,6 +505,16 @@ def test_a_scenario_with_no_constraint_runs_unfiltered(mode):
         assert np.all(column(log, "vstar0") == 0.0)
 
 
+def test_truncation_on_infeasibility():
+    sc = build_example1(x0=(3.9,))
+    log = run_closed_loop(sc, SimConfig(dt=1e-3, t_end=1.0, filter_mode="do_icbf"))
+    assert log.halt_reason == "infeasible"
+    assert log.rows[-1][log.header.index("infeasible")] == 1.0
+    assert column(log, "t")[-1] < 1.0
+    metrics = summarize(log)
+    assert metrics["halt_reason"] == "infeasible"
+
+
 def test_log_is_packed_float64(bicycle_scenario):
     # one 8-byte double per logged value, and at most one chunk of them in
     # memory: whatever the horizon, a run retains no more than a chunk plus a
